@@ -9,8 +9,9 @@ worst case for a per-slot full pass and the best case for delta repair.
 
 Both configurations run under ``engine="indexed"`` and differ *only* in the
 scheduler (``OpportunisticLinkScheduler(incremental_scheduler=...)``), so the
-end-to-end ratio isolates the scheduler change; a phase breakdown from
-:func:`repro.simulation.timed_policy` additionally pins the speedup of the
+end-to-end ratio isolates the scheduler change; the engine's own per-slot
+``scheduler`` span (``span_stride=1``, read by
+:func:`repro.bench.time_single_phases`) additionally pins the speedup of the
 ``select_matching`` phase itself.  Summaries must be bit-identical — the
 repairer replays exactly the matchings the from-scratch pass would produce.
 
@@ -26,11 +27,9 @@ thresholds; the defaults are the full-size assertions):
 from __future__ import annotations
 
 import os
-import time
 
-from repro.core import OpportunisticLinkScheduler
+from repro.bench import time_single_phases
 from repro.network import projector_fabric
-from repro.simulation import simulate, timed_policy
 from repro.workloads import uniform_weights
 from repro.workloads.adversarial import iter_contention_hotspot_workload
 
@@ -76,32 +75,25 @@ def test_e16_incremental_vs_flat_scheduler(run_once, report) -> None:
     topology, packets = _dense_cell(E16_PACKETS)
 
     def compare():
-        out = {}
-        for label, incremental in (("flat", False), ("incremental", True)):
-            policy, timings = timed_policy(
-                OpportunisticLinkScheduler(incremental_scheduler=incremental)
-            )
-            start = time.perf_counter()
-            result = simulate(
-                topology, policy, packets, engine="indexed", max_slots=10_000_000
-            )
-            total = time.perf_counter() - start
-            out[label] = (total, timings, result.summary())
-        return out
+        return {
+            label: time_single_phases(topology, packets, "indexed", incremental)
+            for label, incremental in (("flat", False), ("incremental", True))
+        }
 
     out = run_once(compare)
     flat_total, flat_phases, flat_summary = out["flat"]
     incr_total, incr_phases, incr_summary = out["incremental"]
     e2e_speedup = flat_total / incr_total
-    phase_speedup = flat_phases.scheduler_s / incr_phases.scheduler_s
+    phase_speedup = flat_phases["scheduler"] / incr_phases["scheduler"]
     report(
         "E16 scheduler scale: incremental repair vs from-scratch pass",
         f"cell: {E16_RACKS} racks, {len(packets)} packets, edge delay {E16_DELAY}\n"
         f"end-to-end      : flat {flat_total:.2f}s   incremental {incr_total:.2f}s   "
         f"speedup {e2e_speedup:.1f}x\n"
-        f"scheduler phase : flat {flat_phases.scheduler_s:.2f}s   "
-        f"incremental {incr_phases.scheduler_s:.2f}s   speedup {phase_speedup:.1f}x\n"
-        f"phase breakdown (incremental): {incr_phases.breakdown(incr_total)}",
+        f"scheduler phase : flat {flat_phases['scheduler']:.2f}s   "
+        f"incremental {incr_phases['scheduler']:.2f}s   speedup {phase_speedup:.1f}x\n"
+        f"phases (incremental): "
+        + ", ".join(f"{phase} {seconds:.2f}s" for phase, seconds in incr_phases.items()),
     )
     # Bit-identity comes first: a fast scheduler that schedules differently
     # is a bug, not a win.

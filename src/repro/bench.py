@@ -6,11 +6,12 @@ seeded cell, always verifying bit-identity against the reference
 configuration before trusting a timing:
 
 * ``dispatch`` — reference adjacency scan vs the incremental impact index
-  (the historical ``scripts/bench_dispatch.py`` headline number);
+  (the historical ``BENCH_dispatch.json`` headline number);
 * ``scheduler`` — from-scratch greedy stable matching vs the incremental
   matching repairer, on a densified cell;
-* ``transmit`` — indexed per-edge budget walk vs the numpy-batched
-  vectorized backend, on the saturated-pairs cell;
+* ``transmit`` — the indexed engine vs the reference engine on the
+  saturated-pairs cell, with each run's transmit phase read from the
+  engine's own per-slot spans;
 * ``run_multi`` — per-lane dispatch vs shared-dispatch memo lanes;
 * ``streaming`` — full retention vs aggregate (O(active) memory) retention
   over the same stream.
@@ -24,8 +25,8 @@ drops more than ``tolerance`` below the best prior point recorded on
 other scales are never compared, so a laptop can't "regress" against a CI
 runner and a smoke-scale check can't fail against a full-scale history.
 
-The file format rules (legacy migration, corruption refusal) generalise
-``bench_dispatch.load_history``; that script now imports them from here.
+The file format rules (legacy migration, corruption refusal) live in
+:func:`load_history` / :func:`save_history`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core import OpportunisticLinkScheduler
 from repro.network import projector_fabric
-from repro.simulation import EngineConfig, SimulationEngine, simulate, timed_policy
+from repro.obs import MetricsRegistry
+from repro.simulation import EngineConfig, SimulationEngine, simulate
 from repro.utils.atomic import atomic_write_text
 from repro.workloads import uniform_weights
 from repro.workloads.adversarial import (
@@ -293,7 +295,7 @@ def check_history(
 
 
 # ---------------------------------------------------------------------- #
-# seeded cells and timed runs (moved from scripts/bench_dispatch.py)
+# seeded cells and timed runs
 # ---------------------------------------------------------------------- #
 def build_cell(num_racks: int, num_packets: int, seed: int, delay: int = 1):
     """The seeded dense-contention cell shared with benchmarks E15/E16.
@@ -329,9 +331,8 @@ def build_saturated_cell(num_racks: int, num_packets: int, seed: int, delay: int
     """The saturated-pairs cell shared with benchmark E17.
 
     Eight node-disjoint hot edges the matching serves every slot, each with
-    a pending queue hundreds of chunks deep — the worst case for the
-    indexed engine's per-edge queue snapshot, which the transmit section is
-    meant to stress.
+    a pending queue hundreds of chunks deep — the cell that stresses the
+    per-edge transmit walk, which the transmit section is meant to time.
     """
     start = time.perf_counter()
     topology = projector_fabric(
@@ -368,16 +369,34 @@ def time_single(topology, packets, engine_mode: str, incremental: bool = True):
     return time.perf_counter() - start, result.summary()
 
 
-def time_single_phases(topology, packets, engine_mode: str, incremental: bool):
-    """One instrumented ALG run; returns (seconds, phase timings, summary)."""
-    policy, timings = timed_policy(
-        OpportunisticLinkScheduler(incremental_scheduler=incremental)
-    )
+#: The engine's per-slot phase spans (``engine_phase_seconds{phase=...}``).
+_PHASES = ("dispatch", "scheduler", "transmit")
+
+
+def time_single_phases(topology, packets, engine_mode: str, incremental: bool = True):
+    """One ALG run with every slot's phases timed by the engine's own spans.
+
+    Returns ``(seconds, {phase: seconds}, summary)``; the phases are the
+    ``engine_phase_seconds`` gauges of a ``span_stride=1`` run.
+    """
+    policy = OpportunisticLinkScheduler(incremental_scheduler=incremental)
+    registry = MetricsRegistry()
     start = time.perf_counter()
     result = simulate(
-        topology, policy, packets, engine=engine_mode, max_slots=10_000_000
+        topology,
+        policy,
+        packets,
+        engine=engine_mode,
+        max_slots=10_000_000,
+        obs=registry,
+        span_stride=1,
     )
-    return time.perf_counter() - start, timings, result.summary()
+    elapsed = time.perf_counter() - start
+    phases = {
+        phase: registry.gauge("engine_phase_seconds", phase=phase, policy=policy.name).value
+        for phase in _PHASES
+    }
+    return elapsed, phases, result.summary()
 
 
 def time_multi(topology, packets, engine_mode: str, share: bool):
@@ -495,29 +514,23 @@ def run_section(
         topology, cell_packets, gen_s = build_saturated_cell(
             racks, num_packets, seed, delay=delay
         )
+        ref_s, ref_phases, ref_summary = time_single_phases(
+            topology, cell_packets, "reference"
+        )
         idx_s, idx_phases, idx_summary = time_single_phases(
-            topology, cell_packets, "indexed", incremental=True
+            topology, cell_packets, "indexed"
         )
-        vec_s, vec_phases, vec_summary = time_single_phases(
-            topology, cell_packets, "vectorized", incremental=True
-        )
-        _require_identical(section, "vectorized summary", vec_summary, idx_summary)
-        phase_speedup = (
-            idx_phases.transmit_s / vec_phases.transmit_s
-            if vec_phases.transmit_s > 0
-            else 1.0
-        )
+        _require_identical(section, "indexed summary", idx_summary, ref_summary)
         return _point(
             section, racks, len(cell_packets), seed, delay,
-            throughput=len(cell_packets) / vec_s,
-            speedup=idx_s / vec_s,
+            throughput=len(cell_packets) / idx_s,
+            speedup=ref_s / idx_s,
             details={
                 "workload_generation_s": round(gen_s, 4),
+                "reference_s": round(ref_s, 4),
                 "indexed_s": round(idx_s, 4),
-                "vectorized_s": round(vec_s, 4),
-                "indexed_transmit_s": round(idx_phases.transmit_s, 4),
-                "vectorized_transmit_s": round(vec_phases.transmit_s, 4),
-                "transmit_phase_speedup": round(phase_speedup, 2),
+                "reference_transmit_s": round(ref_phases["transmit"], 4),
+                "indexed_transmit_s": round(idx_phases["transmit"], 4),
             },
         )
 

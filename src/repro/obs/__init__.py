@@ -8,8 +8,8 @@ repository:
   twin :data:`~repro.obs.registry.NULL_REGISTRY` used whenever observability
   is off;
 * :class:`~repro.obs.spans.SpanTimer` — named wall-clock span accumulation
-  with an injectable clock (the primitive under the legacy
-  :class:`~repro.simulation.profiling.PhaseTimings` adapter);
+  with an injectable clock (the primitive under the engine's per-slot
+  phase spans);
 * :class:`~repro.obs.writer.MetricsWriter` — flushed utf-8 JSONL emission
   for snapshots and progress heartbeats, read back via
   :func:`~repro.obs.writer.iter_metric_records`.

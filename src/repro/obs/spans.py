@@ -4,16 +4,14 @@
 layer: it accumulates total seconds and an invocation count per span name.
 Two call styles cover every use in the repository:
 
-* ``start()`` / ``stop(name, start)`` — two calls around a hot block, the
-  style the engine uses for its slot-sampled phase spans and the profiling
-  proxies use around dispatcher/scheduler calls;
+* ``start()`` / ``stop(name, start)`` — two calls around a hot block;
 * ``with timer.span("phase"):`` — the convenient context-manager form for
   non-hot-path callers.
 
 The clock is injected (default :func:`time.perf_counter`) so tests drive
-spans with a fake clock and assert exact totals.  The legacy
-:class:`~repro.simulation.profiling.PhaseTimings` is now a thin adapter over
-one of these timers.
+spans with a fake clock and assert exact totals.  The engine's slot-sampled
+``dispatch``/``scheduler``/``transmit`` phase spans (``span_stride``) are
+accumulated in one of these timers.
 """
 
 from __future__ import annotations
@@ -62,15 +60,6 @@ class SpanTimer:
     def total(self, name: str) -> float:
         """Accumulated seconds of span ``name`` (0.0 when never recorded)."""
         return self.totals.get(name, 0.0)
-
-    def set_total(self, name: str, seconds: float) -> None:
-        """Overwrite span ``name``'s total without touching its count.
-
-        The hook the :class:`~repro.simulation.profiling.PhaseTimings`
-        adapter needs for its writable ``*_s`` attributes.
-        """
-        self.totals[name] = seconds
-        self.counts.setdefault(name, 0)
 
     def reset(self) -> None:
         """Forget every span."""

@@ -1,9 +1,9 @@
 """Tests for the benchmark institution (repro.bench) and the bench CLI.
 
-The history-file migration/corruption rules are pinned against the script
-re-export in tests/test_bench_history.py; this file covers the sectioned
-runners, the machine/scale comparability logic, the pure regression gate
-and the ``bench run|report|check`` subcommands end to end at smoke scale.
+Covers the sectioned runners, the history-file format (legacy migration and
+corruption refusal in ``load_history``), the machine/scale comparability
+logic, the pure regression gate and the ``bench run|report|check``
+subcommands end to end at smoke scale.
 """
 
 from __future__ import annotations
@@ -155,6 +155,58 @@ class TestHistoryFiles:
         names = {bench.bench_path(s, tmp_path).name for s in bench.SECTIONS}
         assert names == {f"BENCH_{s}.json" for s in bench.SECTIONS}
         assert bench.bench_tag("scheduler") == "scheduler-hot-path"
+
+
+class TestLoadHistory:
+    def test_missing_file_starts_empty(self, tmp_path):
+        assert bench.load_history(tmp_path / "absent.json") == []
+
+    def test_current_history_shape_passes_through(self, tmp_path):
+        points = [{"recorded_at": "2026-01-01T00:00:00+00:00"}, {"recorded_at": "b"}]
+        path = tmp_path / "bench.json"
+        path.write_text(
+            json.dumps({"benchmark": "dispatch-hot-path", "history": points}),
+            encoding="utf-8",
+        )
+        assert bench.load_history(path) == points
+
+    def test_legacy_single_point_is_migrated(self, tmp_path):
+        # A pre-history file is one benchmark point at the top level; it must
+        # become the first history entry (minus the document-level tag), not
+        # crash or get overwritten.
+        legacy = {
+            "benchmark": "dispatch-hot-path",
+            "recorded_at": "2025-12-31T00:00:00+00:00",
+            "single_run": {"speedup": 3.1},
+        }
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(legacy), encoding="utf-8")
+        assert bench.load_history(path) == [
+            {
+                "recorded_at": "2025-12-31T00:00:00+00:00",
+                "single_run": {"speedup": 3.1},
+            }
+        ]
+        # Migration must not mutate the file itself (only a bench run writes).
+        assert json.loads(path.read_text(encoding="utf-8")) == legacy
+
+    def test_corrupt_json_raises_instead_of_overwriting(self, tmp_path):
+        path = tmp_path / "bench.json"
+        path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(ValueError, match="not valid JSON"):
+            bench.load_history(path)
+
+    def test_non_dict_document_raises(self, tmp_path):
+        path = tmp_path / "bench.json"
+        path.write_text("[1, 2, 3]", encoding="utf-8")
+        with pytest.raises(ValueError, match="top-level list"):
+            bench.load_history(path)
+
+    def test_non_list_history_raises(self, tmp_path):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"history": {"oops": 1}}), encoding="utf-8")
+        with pytest.raises(ValueError, match="non-list 'history'"):
+            bench.load_history(path)
 
 
 class TestBenchCli:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import read_json, read_jsonl
 from repro.network import projector_fabric
+from repro.simulation import ENGINE_MODES
 from repro.workloads import (
     uniform_random_workload,
     write_packet_trace,
@@ -26,6 +29,17 @@ class TestParser:
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--workload", "nope"])
+
+    def test_scenarios_run_engine_choices_match_engine_modes(self):
+        parser = build_parser()
+        for command in ("scenarios", "run"):
+            subparsers = next(
+                action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)
+            )
+            parser = subparsers.choices[command]
+        engine = next(action for action in parser._actions if action.dest == "engine")
+        assert tuple(engine.choices) == ENGINE_MODES
 
 
 class TestFiguresCommand:

@@ -2,8 +2,8 @@
 
 Covers the registry's determinism contract (snapshots are pure functions of
 the operations applied), histogram bucket edges, the shared no-op
-singletons, the SpanTimer with a fake injectable clock, the PhaseTimings
-adapter compatibility, and the MetricsWriter JSONL round-trip.
+singletons, the SpanTimer with a fake injectable clock, and the
+MetricsWriter JSONL round-trip.
 """
 
 from __future__ import annotations
@@ -167,15 +167,6 @@ class TestSpanTimer:
             pass
         assert timer.total("phase") == pytest.approx(3.0)
 
-    def test_set_total_overwrites_without_count(self):
-        timer = SpanTimer(clock=FakeClock())
-        timer.set_total("transmit", 9.0)
-        assert timer.total("transmit") == 9.0
-        assert timer.counts["transmit"] == 0
-        timer.add("transmit", 1.0)
-        assert timer.total("transmit") == 10.0
-        assert timer.counts["transmit"] == 1
-
     def test_reset_and_snapshot(self):
         timer = SpanTimer(clock=FakeClock())
         timer.add("b", 2.0)
@@ -185,35 +176,6 @@ class TestSpanTimer:
         timer.reset()
         assert timer.snapshot() == {}
         assert timer.total("a") == 0.0
-
-
-class TestPhaseTimingsAdapter:
-    def test_adapter_reads_and_writes_through_spans(self):
-        from repro.simulation.profiling import PhaseTimings
-
-        timings = PhaseTimings()
-        timings.spans.add("dispatch", 1.0)
-        assert timings.dispatch_s == pytest.approx(1.0)
-        timings.scheduler_s = 2.0
-        assert timings.spans.total("scheduler") == pytest.approx(2.0)
-        timings.transmit_s = 0.5
-        breakdown = timings.breakdown(total_s=5.0)
-        assert breakdown["bookkeeping_s"] == pytest.approx(1.5)
-        timings.reset()
-        assert timings.dispatch_s == 0.0
-
-    def test_timed_policy_still_times_phases(self, line_topology):
-        from repro.core import OpportunisticLinkScheduler, Packet
-        from repro.simulation import simulate, timed_policy
-
-        policy, timings = timed_policy(OpportunisticLinkScheduler())
-        assert policy.phase_timings is timings
-        packets = [Packet(i, "s", "d", 1.0, 1) for i in range(4)]
-        result = simulate(line_topology, policy, packets)
-        assert result.all_delivered
-        assert timings.dispatch_s >= 0.0
-        assert timings.scheduler_s >= 0.0
-        assert timings.transmit_s > 0.0  # engine-timed, ran at least one slot
 
 
 class TestMetricsWriter:

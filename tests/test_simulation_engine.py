@@ -7,7 +7,9 @@ import pytest
 from repro.core import OpportunisticLinkScheduler, Packet, Policy, StableMatchingScheduler
 from repro.core.dispatcher import ImpactDispatcher
 from repro.core.interfaces import Scheduler
+from repro.core.queues import PendingChunkPool
 from repro.exceptions import SchedulingError, SimulationError
+from repro.faults import FaultEvent, FaultSchedule
 from repro.network import TwoTierTopology, figure1_topology, single_tier_crossbar
 from repro.simulation import EngineConfig, SimulationEngine, simulate
 from repro.workloads import figure1_packets, uniform_random_workload
@@ -151,6 +153,55 @@ class TestSpeedup:
             for s in (1.0, 2.0, 3.0)
         ]
         assert costs[0] >= costs[1] >= costs[2]
+
+
+class TestLazyTransmitWalk:
+    """The per-edge queue snapshot is built only when the budget spills past the head."""
+
+    @staticmethod
+    def _deep_queue():
+        # One edge, 40 pending chunks: every matched slot has a deep queue.
+        return [Packet(i, "s", "d", weight=1.0 + i % 3, arrival=1 + i // 8) for i in range(40)]
+
+    @staticmethod
+    def _count_snapshots(monkeypatch):
+        calls = []
+        original = PendingChunkPool.chunks_on_edge
+
+        def counting(pool, transmitter, receiver):
+            calls.append((transmitter, receiver))
+            return original(pool, transmitter, receiver)
+
+        monkeypatch.setattr(PendingChunkPool, "chunks_on_edge", counting)
+        return calls
+
+    def test_head_absorbs_budget_at_speed_one(self, line_topology, monkeypatch):
+        calls = self._count_snapshots(monkeypatch)
+        result = simulate(line_topology, OpportunisticLinkScheduler(), self._deep_queue())
+        assert result.all_delivered
+        assert calls == []
+
+    def test_head_absorbs_budget_on_degraded_edge(self, line_topology, monkeypatch):
+        calls = self._count_snapshots(monkeypatch)
+        faults = FaultSchedule.from_events(
+            [FaultEvent(slot=1, action="degrade", kind="edge", target=("t", "r"), rate=0.5)]
+        )
+        result = simulate(
+            line_topology, OpportunisticLinkScheduler(), self._deep_queue(), faults=faults
+        )
+        assert result.all_delivered
+        assert calls == []
+
+    def test_spilling_budget_walks_the_queue(self, line_topology, monkeypatch):
+        packets = self._deep_queue()
+        expected = simulate(
+            line_topology, OpportunisticLinkScheduler(), packets, speed=1.7,
+            engine="reference",
+        ).summary()
+        calls = self._count_snapshots(monkeypatch)
+        result = simulate(line_topology, OpportunisticLinkScheduler(), packets, speed=1.7)
+        assert len(calls) > 0
+        assert result.summary() == expected
 
 
 class TestMatchingValidation:
