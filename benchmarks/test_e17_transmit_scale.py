@@ -16,7 +16,7 @@ Three checks, on the ``indexed`` engine at speed 1:
 * transmit builds no per-edge snapshot: a wrapper installed around
   :meth:`PendingChunkPool.chunks_on_edge` counts exactly 0 calls;
 * the engine's own ``transmit`` span (``span_stride=1``) is at most
-  ``REPRO_E17_MAX_TRANSMIT_SHARE`` of the run's wall time.
+  ``E17_MAX_TRANSMIT_SHARE`` (0.40) of the run's wall time.
 
 Environment knobs (the CI smoke step shrinks the cell; the defaults are the
 full-size assertions):
@@ -24,8 +24,7 @@ full-size assertions):
 * ``REPRO_E17_PACKETS`` — workload size;
 * ``REPRO_E17_RACKS`` — fabric size (≥64 by default);
 * ``REPRO_E17_PAIRS`` — number of node-disjoint saturated pairs;
-* ``REPRO_E17_DELAY`` — uniform reconfigurable-edge delay (chunks/packet);
-* ``REPRO_E17_MAX_TRANSMIT_SHARE`` — bound on the transmit span's share.
+* ``REPRO_E17_DELAY`` — uniform reconfigurable-edge delay (chunks/packet).
 """
 
 from __future__ import annotations
@@ -42,7 +41,9 @@ E17_PACKETS = int(os.environ.get("REPRO_E17_PACKETS", "10000"))
 E17_RACKS = int(os.environ.get("REPRO_E17_RACKS", "64"))
 E17_PAIRS = int(os.environ.get("REPRO_E17_PAIRS", "8"))
 E17_DELAY = int(os.environ.get("REPRO_E17_DELAY", "4"))
-E17_MAX_TRANSMIT_SHARE = float(os.environ.get("REPRO_E17_MAX_TRANSMIT_SHARE", "0.40"))
+#: Bound on the transmit span's share of the indexed run's wall time; the lazy
+#: walk measures about 0.27 at full scale and 0.26 at CI smoke scale.
+E17_MAX_TRANSMIT_SHARE = 0.40
 
 
 def _dense_cell(num_packets: int, num_racks: int = E17_RACKS, seed: int = 17):

@@ -377,7 +377,9 @@ def time_single_phases(topology, packets, engine_mode: str, incremental: bool = 
     """One ALG run with every slot's phases timed by the engine's own spans.
 
     Returns ``(seconds, {phase: seconds}, summary)``; the phases are the
-    ``engine_phase_seconds`` gauges of a ``span_stride=1`` run.
+    ``engine_phase_seconds`` gauges of a ``span_stride=1`` run.  Raises
+    ``RuntimeError`` if the engine published no gauge for a phase, so an
+    unmeasured phase never reads as zero seconds.
     """
     policy = OpportunisticLinkScheduler(incremental_scheduler=incremental)
     registry = MetricsRegistry()
@@ -392,10 +394,13 @@ def time_single_phases(topology, packets, engine_mode: str, incremental: bool = 
         span_stride=1,
     )
     elapsed = time.perf_counter() - start
-    phases = {
-        phase: registry.gauge("engine_phase_seconds", phase=phase, policy=policy.name).value
-        for phase in _PHASES
-    }
+    gauges = registry.snapshot()["gauges"]
+    phases = {}
+    for phase in _PHASES:
+        series = f"engine_phase_seconds{{phase={phase},policy={policy.name}}}"
+        if series not in gauges:
+            raise RuntimeError(f"the {engine_mode} engine published no {series} gauge")
+        phases[phase] = gauges[series]
     return elapsed, phases, result.summary()
 
 

@@ -1390,7 +1390,7 @@ class SimulationEngine:
             budget = self.config.speed
         edge = head_chunk.edge
         head_work = head_chunk.remaining_work
-        if head_work >= budget or budget - head_work <= _WORK_EPSILON:
+        if budget - head_work <= _WORK_EPSILON:
             queue: Sequence[Chunk] = (head_chunk,)
         else:
             queue = [head_chunk] + [

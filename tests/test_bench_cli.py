@@ -48,6 +48,18 @@ class TestSections:
         with pytest.raises(ValueError):
             bench.bench_path("warp-drive", ".")
 
+    def test_phase_timings_come_from_engine_spans(self):
+        topology, packets, _ = bench.build_cell(4, 40, seed=3)
+        _, phases, _ = bench.time_single_phases(topology, packets, "indexed")
+        assert set(phases) == {"dispatch", "scheduler", "transmit"}
+        assert all(seconds > 0 for seconds in phases.values())
+
+    def test_unpublished_phase_raises_instead_of_reading_zero(self, monkeypatch):
+        topology, packets, _ = bench.build_cell(4, 40, seed=3)
+        monkeypatch.setattr(bench, "_PHASES", ("dispatch", "teleport"))
+        with pytest.raises(RuntimeError, match="phase=teleport"):
+            bench.time_single_phases(topology, packets, "indexed")
+
 
 class TestComparability:
     def test_machine_key_ignores_python_patch_version(self, dispatch_point):
