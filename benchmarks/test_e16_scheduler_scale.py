@@ -36,8 +36,8 @@ from repro.workloads.adversarial import iter_contention_hotspot_workload
 E16_PACKETS = int(os.environ.get("REPRO_E16_PACKETS", "5000"))
 E16_RACKS = int(os.environ.get("REPRO_E16_RACKS", "64"))
 E16_DELAY = int(os.environ.get("REPRO_E16_DELAY", "4"))
-E16_MIN_SPEEDUP = float(os.environ.get("REPRO_E16_MIN_SPEEDUP", "2.0"))
-E16_PHASE_MIN_SPEEDUP = float(os.environ.get("REPRO_E16_PHASE_MIN_SPEEDUP", "2.5"))
+E16_MIN_SPEEDUP = float(os.environ.get("REPRO_E16_MIN_SPEEDUP", "3.0"))
+E16_PHASE_MIN_SPEEDUP = float(os.environ.get("REPRO_E16_PHASE_MIN_SPEEDUP", "10"))
 
 
 def _dense_cell(num_packets: int, num_racks: int = E16_RACKS, seed: int = 16):

@@ -12,9 +12,12 @@ PR 9's instrumentation promises two things the engine's hot loops depend on:
 
 The comparison reuses the E15 receiver-hotspot cell so the overhead is
 measured where the per-slot loop is genuinely busy, under the indexed
-engine (the production default).  Both configurations are timed
-back-to-back on the same process and inputs; the plain run goes first so a
-cold allocator penalises the *uninstrumented* side if anything.
+engine (the production default).  Both configurations are timed in
+``E18_PAIRS`` alternating plain/instrumented pairs on the same process and
+inputs, and the overhead compares the two medians: a single ~0.2 s pair
+swings by tens of percent either way on a shared 2-CPU host, while the
+median of five holds steady within a few percent.  The plain run of each pair goes first so a cold allocator
+penalises the *uninstrumented* side if anything.
 
 Environment knobs (the CI smoke step shrinks the cell and relaxes the
 threshold; the defaults are the full-size assertions):
@@ -28,6 +31,7 @@ threshold; the defaults are the full-size assertions):
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 from repro.core import OpportunisticLinkScheduler
@@ -41,6 +45,8 @@ E18_PACKETS = int(os.environ.get("REPRO_E18_PACKETS", "3000"))
 E18_RACKS = int(os.environ.get("REPRO_E18_RACKS", "48"))
 E18_SPAN_STRIDE = int(os.environ.get("REPRO_E18_SPAN_STRIDE", "16"))
 E18_MAX_OVERHEAD = float(os.environ.get("REPRO_E18_MAX_OVERHEAD", "0.25"))
+#: Alternating plain/instrumented pairs timed per comparison.
+E18_PAIRS = 5
 
 
 def _dense_cell(num_packets: int = E18_PACKETS, num_racks: int = E18_RACKS,
@@ -70,25 +76,30 @@ def test_e18_obs_overhead_bounded_and_bit_identical(
     metrics_path = tmp_path / "metrics.jsonl"
 
     def compare():
-        start = time.perf_counter()
-        plain = simulate(
-            topology, OpportunisticLinkScheduler(), packets,
-            engine="indexed", max_slots=10_000_000,
-        )
-        plain_s = time.perf_counter() - start
+        plain_times, observed_times, pairs = [], [], []
+        for _ in range(E18_PAIRS):
+            start = time.perf_counter()
+            plain = simulate(
+                topology, OpportunisticLinkScheduler(), packets,
+                engine="indexed", max_slots=10_000_000,
+            )
+            plain_times.append(time.perf_counter() - start)
 
-        registry = MetricsRegistry()
-        start = time.perf_counter()
-        observed = simulate(
-            topology, OpportunisticLinkScheduler(), packets,
-            engine="indexed", max_slots=10_000_000,
-            obs=registry, span_stride=E18_SPAN_STRIDE,
-            metrics_path=str(metrics_path),
-        )
-        observed_s = time.perf_counter() - start
-        return plain_s, plain.summary(), observed_s, observed.summary(), registry
+            registry = MetricsRegistry()
+            start = time.perf_counter()
+            observed = simulate(
+                topology, OpportunisticLinkScheduler(), packets,
+                engine="indexed", max_slots=10_000_000,
+                obs=registry, span_stride=E18_SPAN_STRIDE,
+                metrics_path=str(metrics_path),
+            )
+            observed_times.append(time.perf_counter() - start)
+            pairs.append((plain.summary(), observed.summary()))
+        return plain_times, observed_times, pairs, registry
 
-    plain_s, plain_summary, observed_s, observed_summary, registry = run_once(compare)
+    plain_times, observed_times, pairs, registry = run_once(compare)
+    plain_s = statistics.median(plain_times)
+    observed_s = statistics.median(observed_times)
     overhead = observed_s / plain_s - 1.0
     counters = registry.snapshot()["counters"]
     arrived = sum(
@@ -98,20 +109,27 @@ def test_e18_obs_overhead_bounded_and_bit_identical(
     report(
         "E18 observability overhead",
         f"cell: {E18_RACKS} racks, {len(packets)} packets (receiver hotspot)\n"
-        f"plain: {plain_s:.2f}s   instrumented: {observed_s:.2f}s   "
-        f"overhead: {overhead * 100:+.1f}% (bound {E18_MAX_OVERHEAD * 100:.0f}%)\n"
+        f"median of {E18_PAIRS} pairs: plain {plain_s:.2f}s   "
+        f"instrumented {observed_s:.2f}s   "
+        f"overhead {overhead * 100:+.1f}% (bound {E18_MAX_OVERHEAD * 100:.0f}%)\n"
+        f"per-pair overhead: "
+        + " ".join(f"{o / p * 100 - 100:+.0f}%" for p, o in zip(plain_times, observed_times))
+        + "\n"
         f"recorded: {len(counters)} counter series, "
         f"{arrived} packets counted, span stride {E18_SPAN_STRIDE}",
     )
-    assert observed_summary == plain_summary, (
-        "instrumented run diverged from the plain run\n"
-        f"plain:      {plain_summary}\ninstrumented: {observed_summary}"
-    )
+    first_plain = pairs[0][0]
+    for plain_summary, observed_summary in pairs:
+        assert plain_summary == first_plain, "plain runs diverged from each other"
+        assert observed_summary == plain_summary, (
+            "instrumented run diverged from the plain run\n"
+            f"plain:      {plain_summary}\ninstrumented: {observed_summary}"
+        )
     assert arrived == len(packets)
     (record,) = read_metric_records(metrics_path)
     assert record["snapshot"] == registry.snapshot()
     assert overhead <= E18_MAX_OVERHEAD, (
         f"observability overhead {overhead * 100:.1f}% exceeds the "
-        f"{E18_MAX_OVERHEAD * 100:.0f}% bound "
-        f"(plain {plain_s:.2f}s vs instrumented {observed_s:.2f}s)"
+        f"{E18_MAX_OVERHEAD * 100:.0f}% bound (medians of {E18_PAIRS} pairs: "
+        f"plain {plain_s:.2f}s vs instrumented {observed_s:.2f}s)"
     )

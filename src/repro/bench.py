@@ -167,25 +167,33 @@ def machine_stamp() -> Dict[str, Any]:
     """The recording machine, in the shape every history point carries."""
     return {
         "platform": platform.platform(),
+        "arch": platform.machine(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "cpu_count": os.cpu_count(),
     }
 
 
-def machine_key(point: Dict[str, Any]) -> Optional[Tuple[str, str, Any]]:
+def machine_key(point: Dict[str, Any]) -> Optional[Tuple[str, str, str, Any]]:
     """Hardware-comparability key of a history point (``None`` if unstamped).
 
-    Two points are throughput-comparable only when platform, interpreter
-    implementation and CPU count all match; the Python patch version is
-    deliberately excluded (3.12.1 vs 3.12.2 runs stay comparable).
+    Two points are throughput-comparable only when OS, CPU architecture,
+    interpreter implementation and CPU count all match.  The kernel release
+    and the Python patch version are deliberately excluded: hosts and CI
+    runners upgrade both without changing what a packets/s figure means.
+    The OS is the first field of the ``platform`` string; points stamped
+    before ``arch`` existed take it from that string's
+    ``<os>-<release>-<arch>-with-<libc>`` shape.
     """
     machine = point.get("machine")
     if not isinstance(machine, dict):
         return None
     try:
+        stamp = str(machine["platform"])
+        arch = machine.get("arch") or stamp.split("-with-", 1)[0].rsplit("-", 1)[-1]
         return (
-            str(machine["platform"]),
+            stamp.split("-", 1)[0],
+            str(arch),
             str(machine["implementation"]),
             machine["cpu_count"],
         )

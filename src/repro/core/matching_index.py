@@ -49,18 +49,17 @@ Two task kinds exist:
 Chunks are stored per *edge* (transmitter–receiver pair), not per port, as
 key-sorted ``(priority key, chunk)`` pairs — the key is a total order, so
 pairs sort and bisect with C-level tuple comparisons and the key function
-runs exactly once per chunk, at activation.  Per-edge storage is what makes
-scans cheap: every chunk on one edge is blocked by the *same* port owners,
-so a scan only ever inspects each edge's top candidate (merged across the
-port's edges through a small local heap) instead of walking over arbitrarily
-long runs of same-edge chunks that one hot owner blocks.  Dropping a blocked
-edge from the merge is safe: the blocking owner outranks all of the edge's
-remaining chunks, and if it is later evicted, the eviction itself pushes a
-scan for the freed port that re-covers them.
+runs exactly once per chunk, at activation.  Every chunk on one edge is
+blocked by the *same* port owners, so a scan only ever needs each edge's
+head; each port therefore also keeps a key-sorted *head list* of
+``(edge head key, peer port)``, one entry per non-empty edge, updated only
+when an edge's head changes.  A scan walks that list in key order instead of
+arbitrarily long runs of same-edge chunks that one hot owner blocks.
 
-Amortised cost per slot is O((Δ + cascade) · degree · log n) against the
-reference scheduler's Θ(E log E) full pass over all eligible chunks, where
-degree is the number of active edges at a repaired port.
+Cost per scan is O(log degree) for the starting bisect plus O(blocked heads
+walked + 1); keeping head lists current costs O(log degree) bisect and an
+O(degree) memmove per head change, against the reference scheduler's
+Θ(E log E) full pass over all eligible chunks.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ __all__ = ["MatchingIndex"]
 
 #: A chunk's total-order priority key paired with the chunk itself.  Keys are
 #: unique, so tuple comparison never falls through to comparing chunks.
-_Key = Tuple[float, int, int, int]
+_Key = Tuple[float, float, int, int]
 _Entry = Tuple[_Key, Chunk]
 
 #: Task kinds, ordered only for readability — the heap never compares them
@@ -101,8 +100,8 @@ class MatchingIndex:
 
     __slots__ = (
         "_edges",
-        "_tx_ports",
-        "_rx_ports",
+        "_tx_heads",
+        "_rx_heads",
         "_tx_owner",
         "_rx_owner",
         "_matched",
@@ -111,14 +110,16 @@ class MatchingIndex:
         "_seq",
         "_tasks_done",
         "_evictions",
+        "_scan_probes",
     )
 
     def __init__(self) -> None:
         # (tx, rx) → the edge's eligible (key, chunk) pairs, kept key-sorted.
         self._edges: Dict[Tuple[str, str], List[_Entry]] = {}
-        # Port → the peer ports of its non-empty edges (scan adjacency).
-        self._tx_ports: Dict[str, Set[str]] = {}
-        self._rx_ports: Dict[str, Set[str]] = {}
+        # Port → its head list: (edge head key, peer port) per non-empty
+        # edge, kept key-sorted (the scan adjacency).
+        self._tx_heads: Dict[str, List[Tuple[_Key, str]]] = {}
+        self._rx_heads: Dict[str, List[Tuple[_Key, str]]] = {}
         # Port → the matched entry currently owning it (both ports of a
         # matched chunk are owned by it, and only matched chunks own ports).
         self._tx_owner: Dict[str, _Entry] = {}
@@ -133,6 +134,7 @@ class MatchingIndex:
         # Lifetime repair-work tallies (always on; one int add per event).
         self._tasks_done = 0
         self._evictions = 0
+        self._scan_probes = 0
 
     # ------------------------------------------------------------------ #
     # events (pushed by the pool)
@@ -144,11 +146,9 @@ class MatchingIndex:
         key = chunk_priority_key(chunk)
         self._eligible[chunk] = key
         tx, rx = chunk.transmitter, chunk.receiver
-        edge_list = self._edges.get((tx, rx))
-        if edge_list is None:
-            edge_list = self._edges[(tx, rx)] = []
-            self._tx_ports.setdefault(tx, set()).add(rx)
-            self._rx_ports.setdefault(rx, set()).add(tx)
+        edge_list = self._edges.setdefault((tx, rx), [])
+        if not edge_list or key < edge_list[0][0]:
+            self._move_head(tx, rx, edge_list[0][0] if edge_list else None, key)
         insort(edge_list, (key, chunk))
         self._push(key, _EVAL, chunk)
 
@@ -165,17 +165,12 @@ class MatchingIndex:
         tx, rx = chunk.transmitter, chunk.receiver
         edge_list = self._edges[(tx, rx)]
         # (key,) sorts immediately before (key, chunk); keys are unique.
-        del edge_list[bisect_left(edge_list, (key,))]
-        if not edge_list:
-            del self._edges[(tx, rx)]
-            peers = self._tx_ports[tx]
-            peers.remove(rx)
-            if not peers:
-                del self._tx_ports[tx]
-            peers = self._rx_ports[rx]
-            peers.remove(tx)
-            if not peers:
-                del self._rx_ports[rx]
+        index = bisect_left(edge_list, (key,))
+        del edge_list[index]
+        if index == 0:
+            self._move_head(tx, rx, key, edge_list[0][0] if edge_list else None)
+            if not edge_list:
+                del self._edges[(tx, rx)]
         entry = (key, chunk)
         if entry in self._matched:
             # Removal rule: only lower-priority chunks on the two freed ports
@@ -189,8 +184,8 @@ class MatchingIndex:
     def clear(self) -> None:
         """Forget every chunk and pending task."""
         self._edges.clear()
-        self._tx_ports.clear()
-        self._rx_ports.clear()
+        self._tx_heads.clear()
+        self._rx_heads.clear()
         self._tx_owner.clear()
         self._rx_owner.clear()
         self._matched.clear()
@@ -198,16 +193,22 @@ class MatchingIndex:
         self._tasks.clear()
         self._tasks_done = 0
         self._evictions = 0
+        self._scan_probes = 0
 
     def stats(self) -> Dict[str, int]:
         """Lifetime repair-work counters.
 
         ``tasks`` is the number of heap tasks drained (evals, scans and scan
-        deferrals) and ``evictions`` the number of matched chunks displaced
-        by higher-priority arrivals — together the size of the repair
-        cascades that replaced full recomputes.
+        deferrals), ``evictions`` the number of matched chunks displaced by
+        higher-priority arrivals, and ``scan_probes`` the number of edge heads
+        the freed-port scans inspected — exact, event-determined measures of
+        the repair work that replaced full recomputes.
         """
-        return {"tasks": self._tasks_done, "evictions": self._evictions}
+        return {
+            "tasks": self._tasks_done,
+            "evictions": self._evictions,
+            "scan_probes": self._scan_probes,
+        }
 
     # ------------------------------------------------------------------ #
     # queries
@@ -227,6 +228,20 @@ class MatchingIndex:
     # ------------------------------------------------------------------ #
     # repair machinery
     # ------------------------------------------------------------------ #
+    def _move_head(self, tx: str, rx: str, old: Optional[_Key], new: Optional[_Key]) -> None:
+        """Re-key edge ``(tx, rx)`` from head ``old`` to ``new`` in both ports' head lists.
+
+        ``None`` means no entry: a new edge has no ``old`` head and an
+        emptied edge no ``new`` one.
+        """
+        for port_heads, port, peer in ((self._tx_heads, tx, rx), (self._rx_heads, rx, tx)):
+            heads = port_heads.setdefault(port, [])
+            if old is not None:
+                # (old,) sorts immediately before (old, peer); head keys are unique.
+                del heads[bisect_left(heads, (old,))]
+            if new is not None:
+                insort(heads, (new, peer))
+
     def _push(self, key: _Key, kind: int, payload: object) -> None:
         heappush(self._tasks, (key, self._seq, kind, payload))
         self._seq += 1
@@ -238,10 +253,8 @@ class MatchingIndex:
             self._tasks_done += 1
             if kind == _EVAL:
                 self._eval(payload)
-            elif kind == _SCAN_TX:
-                self._scan(payload[0], key, payload[1], is_tx=True)
             else:
-                self._scan(payload[0], key, payload[1], is_tx=False)
+                self._scan(payload[0], key, payload[1], is_tx=kind == _SCAN_TX)
 
     def _eval(self, chunk: Chunk) -> None:
         """Decide ``chunk`` at its own priority position."""
@@ -284,64 +297,47 @@ class MatchingIndex:
         self._rx_owner[chunk.receiver] = entry
         self._matched.add(entry)
 
-    def _scan(
-        self,
-        port: str,
-        from_key: _Key,
-        merge: Optional[List[Tuple[_Key, str, int]]],
-        *,
-        is_tx: bool,
-    ) -> None:
+    def _scan(self, port: str, from_key: _Key, position: Optional[int], *, is_tx: bool) -> None:
         """Find a new owner for a freed ``port`` among chunks at or below ``from_key``.
 
         Decisions made while this task was queued all had keys <= ``from_key``
         (the deferral rule below guarantees it), so if the port has an owner
         again it outranks every candidate and the scan is over.
 
-        Candidates are merged across the port's edges through a local heap of
-        ``(candidate key, peer port, index into the edge list)``.  ``merge``
-        is ``None`` for a fresh scan (the heap is seeded by one bisect per
-        edge) or the saved heap of a deferred scan — edge lists only mutate
-        outside :meth:`_drain`, and a deferred scan is always re-popped within
-        the same drain, so saved indices stay valid.
+        The scan walks the port's head list in key order from ``position``, a
+        deferred scan's saved place (``None`` bisects to ``from_key``); edge
+        and head lists only mutate outside :meth:`_drain`, which re-pops every
+        deferral.  Skipping heads before ``from_key`` is exact: such a head is
+        unmatched while this port is free, so its peer port's owner outranks
+        its whole edge, and during a drain matches only evict owners ranked
+        below the task being processed, so that blocker stays in place.
         """
         owners = self._tx_owner if is_tx else self._rx_owner
         if port in owners:
             return
-        edges = self._edges
-        if merge is None:
-            peers = (self._tx_ports if is_tx else self._rx_ports).get(port)
-            if not peers:
-                return
-            merge = []
-            probe = (from_key,)
-            for peer in peers:
-                edge_list = edges[(port, peer) if is_tx else (peer, port)]
-                index = bisect_left(edge_list, probe)
-                if index < len(edge_list):
-                    heappush(merge, (edge_list[index][0], peer, index))
+        heads = (self._tx_heads if is_tx else self._rx_heads).get(port, ())
+        if position is None:
+            position = bisect_left(heads, (from_key,))
         other_owners = self._rx_owner if is_tx else self._tx_owner
         tasks = self._tasks
-        while merge:
-            candidate_key, peer, index = merge[0]
-            if tasks and tasks[0][0] < candidate_key:
+        for position in range(position, len(heads)):
+            head_key, peer = heads[position]
+            if tasks and tasks[0][0] < head_key:
                 # A strictly higher-priority task is pending; defer so every
                 # decision is made in global priority order.
-                self._push(candidate_key, _SCAN_TX if is_tx else _SCAN_RX, (port, merge))
+                self._push(head_key, _SCAN_TX if is_tx else _SCAN_RX, (port, position))
                 return
-            heappop(merge)
-            # ``candidate`` is unmatched: matched chunks own both their
-            # ports, and this port has no owner.
+            self._scan_probes += 1
+            # The head is unmatched: matched chunks own both their ports,
+            # and this port has no owner.
             other_owner = other_owners.get(peer)
-            if other_owner is None or candidate_key < other_owner[0]:
-                edge_list = edges[(port, peer) if is_tx else (peer, port)]
-                candidate = edge_list[index][1]
+            if other_owner is None or head_key < other_owner[0]:
+                head = self._edges[(port, peer) if is_tx else (peer, port)][0]
                 if is_tx:
-                    self._match((candidate_key, candidate), None, other_owner)
+                    self._match(head, None, other_owner)
                 else:
-                    self._match((candidate_key, candidate), other_owner, None)
+                    self._match(head, other_owner, None)
                 return
-            # The peer port's owner outranks the candidate — and therefore
-            # every remaining chunk on this edge, so the whole edge is done.
-            # If that owner is evicted later, the eviction pushes a scan for
-            # the freed peer port which re-covers these chunks.
+            # The peer port's owner outranks the whole edge.  If that owner is
+            # evicted later, the eviction pushes a scan for the freed peer port
+            # which re-covers this edge.

@@ -1013,6 +1013,9 @@ class _PolicyLane:
             metrics.counter("matching_index_evictions", policy=name).inc(
                 index_stats["evictions"]
             )
+            metrics.counter("matching_index_scan_probes", policy=name).inc(
+                index_stats["scan_probes"]
+            )
         faults = self._faults
         if faults is not None:
             metrics.counter("engine_fault_events", policy=name).inc(faults.events_applied)

@@ -9,12 +9,14 @@ subcommands end to end at smoke scale.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import bench
 from repro.cli import _BENCH_SECTIONS, main
 
+ROOT = Path(__file__).resolve().parent.parent
 SMOKE = dict(packets=200, racks=8, seed=15)
 SMOKE_ARGS = ["--packets", "200", "--racks", "8", "--seed", "15"]
 
@@ -68,6 +70,29 @@ class TestComparability:
         assert bench.machine_key(other) == bench.machine_key(dispatch_point)
         other["machine"]["platform"] = "other-box"
         assert bench.machine_key(other) != bench.machine_key(dispatch_point)
+
+    def test_machine_key_ignores_kernel_release(self):
+        def stamped(platform_string, cpu_count=1, arch=None):
+            machine = {"platform": platform_string, "python": "3.11.7",
+                       "implementation": "CPython", "cpu_count": cpu_count}
+            if arch is not None:
+                machine["arch"] = arch
+            return {"machine": machine}
+
+        old_kernel = "Linux-6.18.5-fc-v18-x86_64-with-glibc2.36"
+        new_kernel = "Linux-6.18.44-fc-v130-x86_64-with-glibc2.36"
+        key = bench.machine_key(stamped(old_kernel))
+        assert key == ("Linux", "x86_64", "CPython", 1)
+        # Legacy points (no ``arch``) and current stamps agree across kernels.
+        assert bench.machine_key(stamped(new_kernel)) == key
+        assert bench.machine_key(stamped(new_kernel, arch="x86_64")) == key
+        assert bench.machine_key(stamped(new_kernel, cpu_count=2)) != key
+        assert bench.machine_key(stamped(new_kernel, arch="aarch64")) != key
+
+    def test_committed_legacy_points_share_one_key(self):
+        history = bench.load_history(ROOT / "BENCH_dispatch.json")
+        keys = {bench.machine_key(point) for point in history}
+        assert keys == {("Linux", "x86_64", "CPython", 1)}
 
     def test_unstamped_point_has_no_key(self):
         assert bench.machine_key({}) is None

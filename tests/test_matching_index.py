@@ -44,6 +44,20 @@ def assert_matches_oracle(index: MatchingIndex, eligible: list[Chunk]) -> None:
     assert is_stable_matching(matching, eligible)
 
 
+def assert_head_lists_current(index: MatchingIndex) -> None:
+    """Each port's head list is the sorted ``(edge head key, peer)`` of its edges."""
+    expected_tx: dict = {}
+    expected_rx: dict = {}
+    for (tx, rx), edge_list in index._edges.items():
+        assert edge_list, "emptied edges must be dropped"
+        expected_tx.setdefault(tx, []).append((edge_list[0][0], rx))
+        expected_rx.setdefault(rx, []).append((edge_list[0][0], tx))
+    for heads, expected in ((index._tx_heads, expected_tx), (index._rx_heads, expected_rx)):
+        assert {port: h for port, h in heads.items() if h} == {
+            port: sorted(h) for port, h in expected.items()
+        }
+
+
 class TestBasics:
     def test_empty(self):
         assert MatchingIndex().current_matching() == []
@@ -216,6 +230,123 @@ class TestRandomWalks:
             else:
                 index.discard(tracked.pop(rng.randrange(len(tracked))))
             assert_matches_oracle(index, tracked)
+
+
+class _DeferralCountingIndex(MatchingIndex):
+    """Counts scans that deferred and saved their head-list position."""
+
+    __slots__ = ("deferrals",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.deferrals = 0
+
+    def _push(self, key, kind, payload) -> None:
+        if isinstance(payload, tuple) and payload[1] is not None:
+            self.deferrals += 1
+        super()._push(key, kind, payload)
+
+
+class TestWideWalks:
+    """Hub-port walks with batched events between drains.
+
+    Draining after several events queues scans behind each other, which is
+    what drives the deferred-scan resume path; the hub receiver gives a
+    head list far wider than the small-fabric walks above.
+    """
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_batched_walk_with_hub_receiver(self, seed: int) -> None:
+        rng = random.Random(1000 + seed)
+        index = _DeferralCountingIndex()
+        tracked: list[Chunk] = []
+        next_pid = 0
+        hub_degree = 0
+        for _ in range(80):
+            for _ in range(rng.randint(1, 8)):
+                if rng.random() < 0.65 or not tracked:
+                    receiver = "hub" if rng.random() < 0.7 else f"r{rng.randrange(4)}"
+                    chunk = make_chunk(
+                        next_pid,
+                        float(rng.choice((1.0, 2.0, 3.0, 5.0, 8.0))),
+                        (f"t{rng.randrange(48)}", receiver),
+                        arrival=rng.randrange(1, 6),
+                    )
+                    next_pid += 1
+                    index.activate(chunk)
+                    tracked.append(chunk)
+                else:
+                    index.discard(tracked.pop(rng.randrange(len(tracked))))
+                assert_head_lists_current(index)
+                hub_degree = max(hub_degree, len(index._rx_heads.get("hub", ())))
+            assert_matches_oracle(index, tracked)
+        assert hub_degree >= 24
+        assert index.deferrals > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_walk_through_pool(self, seed: int) -> None:
+        """Same, through the pool: eligibility advances activate in bursts."""
+        rng = random.Random(2000 + seed)
+        pool = PendingChunkPool(matching_index=True)
+        index = pool.matching_index
+        now = 1
+        live: list[Chunk] = []
+        next_pid = 0
+        for _ in range(60):
+            for _ in range(rng.randint(1, 8)):
+                op = rng.random()
+                if op < 0.6 or not live:
+                    receiver = "hub" if rng.random() < 0.7 else f"r{rng.randrange(4)}"
+                    chunk = make_chunk(
+                        next_pid,
+                        float(rng.choice((1.0, 2.0, 2.0, 3.0, 5.0))),
+                        (f"t{rng.randrange(48)}", receiver),
+                        arrival=now,
+                        head_delay=rng.randrange(3),
+                    )
+                    next_pid += 1
+                    pool.add(chunk)
+                    live.append(chunk)
+                elif op < 0.85:
+                    pool.remove(live.pop(rng.randrange(len(live))))
+                else:
+                    now += 1
+                    pool.advance_eligibility(now)
+                assert_head_lists_current(index)
+            assert_matches_oracle(index, pool.eligible_chunks(now))
+
+
+class TestScanProbes:
+    """``stats()["scan_probes"]`` pins the cost of a freed-port scan exactly."""
+
+    @pytest.mark.parametrize("blocked", [0, 1, 7, 63])
+    def test_hub_scan_walks_only_blocked_heads(self, blocked: int) -> None:
+        index = MatchingIndex()
+        owner = make_chunk(0, 100.0, ("t_owner", "hub"))
+        index.activate(owner)
+        # 64 transmitter peers of the hub, ranked by packet id.
+        peers = [make_chunk(1 + i, 1.0, (f"t{i}", "hub")) for i in range(64)]
+        # The best ``blocked`` peers lose their transmitter to a heavier chunk.
+        blockers = [make_chunk(100 + i, 50.0, (f"t{i}", f"r{i}")) for i in range(blocked)]
+        for chunk in peers + blockers:
+            index.activate(chunk)
+        assert index.current_matching() == [owner] + blockers
+
+        before = index.stats()["scan_probes"]
+        index.discard(owner)
+        eligible = peers + blockers
+        assert_matches_oracle(index, eligible)
+        assert index.current_matching() == blockers + [peers[blocked]]
+        assert index.stats()["scan_probes"] - before == blocked + 1
+
+    def test_stats_keys_and_clear(self):
+        index = MatchingIndex()
+        index.activate(make_chunk(0, 2.0, ("t1", "r1")))
+        index.discard(make_chunk(0, 2.0, ("t1", "r1")))
+        index.current_matching()
+        assert set(index.stats()) == {"tasks", "evictions", "scan_probes"}
+        index.clear()
+        assert index.stats() == {"tasks": 0, "evictions": 0, "scan_probes": 0}
 
 
 class TestPoolIntegration:

@@ -103,6 +103,7 @@ class TestEngineCounters:
         assert _one(counters, "impact_index_consolidations") > 0
         assert _one(counters, "matching_index_tasks") > 0
         assert _one(counters, "matching_index_evictions") >= 0
+        assert _one(counters, "matching_index_scan_probes") > 0
 
 
 class TestSpans:
