@@ -27,11 +27,9 @@ from __future__ import annotations
 import os
 import time
 
+from repro.bench import build_cell
 from repro.core import OpportunisticLinkScheduler
-from repro.network import projector_fabric
 from repro.simulation import EngineConfig, SimulationEngine, simulate
-from repro.workloads import uniform_weights
-from repro.workloads.adversarial import iter_contention_hotspot_workload
 
 E15_PACKETS = int(os.environ.get("REPRO_E15_PACKETS", "5000"))
 E15_MULTI_PACKETS = int(os.environ.get("REPRO_E15_MULTI_PACKETS", "3000"))
@@ -43,34 +41,9 @@ E15_MULTI_MIN_SPEEDUP = float(os.environ.get("REPRO_E15_MULTI_MIN_SPEEDUP", "1.5
 NUM_LANES = 4
 
 
-def _dense_cell(num_packets: int, num_racks: int = E15_RACKS, seed: int = 15):
-    """A receiver-hotspot cell: traffic from many racks converges on one.
-
-    The hotspot's photodetectors accumulate hundreds of pending chunks, so
-    every candidate-edge evaluation of the reference scan walks a long
-    adjacency list — exactly the regime the impact index collapses to rank
-    lookups.
-    """
-    topology = projector_fabric(
-        num_racks=num_racks, lasers_per_rack=2, photodetectors_per_rack=2, seed=seed
-    )
-    packets = list(
-        iter_contention_hotspot_workload(
-            topology,
-            num_packets=num_packets,
-            side="receiver",
-            hot_fraction=0.95,
-            arrival_rate=8.0,
-            weight_sampler=uniform_weights(1, 10),
-            seed=seed + 1,
-        )
-    )
-    return topology, packets
-
-
 def test_e15_indexed_vs_reference_scan(run_once, report) -> None:
     """The indexed engine is ≥Nx faster than the scan, bit-identically."""
-    topology, packets = _dense_cell(E15_PACKETS)
+    topology, packets = build_cell(E15_RACKS, E15_PACKETS, seed=15)
 
     def compare():
         timings = {}
@@ -110,7 +83,7 @@ def test_e15_indexed_vs_reference_scan(run_once, report) -> None:
 
 def test_e15_shared_lanes_vs_per_lane_dispatch(run_once, report) -> None:
     """4 impact-sharing lanes beat PR 3's per-lane dispatch, bit-identically."""
-    topology, packets = _dense_cell(E15_MULTI_PACKETS)
+    topology, packets = build_cell(E15_RACKS, E15_MULTI_PACKETS, seed=15)
 
     def lanes():
         return {f"alg{i}": OpportunisticLinkScheduler() for i in range(NUM_LANES)}

@@ -7,12 +7,14 @@ pass on a dense 64-rack receiver-hotspot cell whose long edge delay splits
 every packet into ``d(e)`` chunks — a deep, long-lived pending pool, the
 worst case for a per-slot full pass and the best case for delta repair.
 
-Both configurations run under ``engine="indexed"`` and differ *only* in the
-scheduler (``OpportunisticLinkScheduler(incremental_scheduler=...)``), so the
-end-to-end ratio isolates the scheduler change; the engine's own per-slot
-``scheduler`` span (``span_stride=1``, read by
-:func:`repro.bench.time_single_phases`) additionally pins the speedup of the
-``select_matching`` phase itself.  Summaries must be bit-identical — the
+Both configurations run under ``engine="indexed"`` with the impact
+dispatcher and differ *only* in the scheduler: ALG's
+``StableMatchingScheduler`` reads the repaired matching, the "flat" policy's
+``OrderedGreedyScheduler(chunk_priority_key)`` replays the greedy pass over
+the same pool every slot.  The end-to-end ratio thus isolates the scheduler
+change; the engine's own per-slot ``scheduler`` span (``span_stride=1``, read
+by :func:`repro.bench.time_single_phases`) additionally pins the speedup of
+the ``select_matching`` phase itself.  Summaries must be bit-identical — the
 repairer replays exactly the matchings the from-scratch pass would produce.
 
 Environment knobs (the CI smoke step shrinks the cell and relaxes the
@@ -28,10 +30,10 @@ from __future__ import annotations
 
 import os
 
-from repro.bench import time_single_phases
-from repro.network import projector_fabric
-from repro.workloads import uniform_weights
-from repro.workloads.adversarial import iter_contention_hotspot_workload
+from repro.bench import build_cell, time_single_phases
+from repro.core import ImpactDispatcher, OpportunisticLinkScheduler, Policy
+from repro.core.scheduler import OrderedGreedyScheduler
+from repro.utils.ordering import chunk_priority_key
 
 E16_PACKETS = int(os.environ.get("REPRO_E16_PACKETS", "5000"))
 E16_RACKS = int(os.environ.get("REPRO_E16_RACKS", "64"))
@@ -40,44 +42,22 @@ E16_MIN_SPEEDUP = float(os.environ.get("REPRO_E16_MIN_SPEEDUP", "3.0"))
 E16_PHASE_MIN_SPEEDUP = float(os.environ.get("REPRO_E16_PHASE_MIN_SPEEDUP", "10"))
 
 
-def _dense_cell(num_packets: int, num_racks: int = E16_RACKS, seed: int = 16):
-    """A receiver-hotspot cell with ``d(e) = E16_DELAY`` chunks per packet.
-
-    The hotspot's photodetectors drain the pool two chunks per slot while
-    arrivals outpace them, so the eligible set grows into the tens of
-    thousands and persists across thousands of slots — every from-scratch
-    greedy pass walks all of it, while the repairer touches only the slot's
-    completions and activations.
-    """
-    topology = projector_fabric(
-        num_racks=num_racks,
-        lasers_per_rack=2,
-        photodetectors_per_rack=2,
-        delay=E16_DELAY,
-        seed=seed,
-    )
-    packets = list(
-        iter_contention_hotspot_workload(
-            topology,
-            num_packets=num_packets,
-            side="receiver",
-            hot_fraction=0.95,
-            arrival_rate=8.0,
-            weight_sampler=uniform_weights(1, 10),
-            seed=seed + 1,
-        )
-    )
-    return topology, packets
-
-
 def test_e16_incremental_vs_flat_scheduler(run_once, report) -> None:
     """The matching repairer is ≥Nx faster than the full pass, bit-identically."""
-    topology, packets = _dense_cell(E16_PACKETS)
+    topology, packets = build_cell(E16_RACKS, E16_PACKETS, seed=16, delay=E16_DELAY)
+    flat = Policy(
+        "ALG(flat-greedy+impact-dispatch)",
+        ImpactDispatcher(),
+        OrderedGreedyScheduler(chunk_priority_key),
+    )
 
     def compare():
         return {
-            label: time_single_phases(topology, packets, "indexed", incremental)
-            for label, incremental in (("flat", False), ("incremental", True))
+            label: time_single_phases(topology, packets, "indexed", policy)
+            for label, policy in (
+                ("flat", flat),
+                ("incremental", OpportunisticLinkScheduler()),
+            )
         }
 
     out = run_once(compare)

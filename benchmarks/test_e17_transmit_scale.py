@@ -31,11 +31,8 @@ from __future__ import annotations
 
 import os
 
-from repro.bench import time_single_phases
+from repro.bench import build_saturated_cell, time_single_phases
 from repro.core.queues import PendingChunkPool
-from repro.network import projector_fabric
-from repro.workloads import uniform_weights
-from repro.workloads.adversarial import iter_saturated_pairs_workload
 
 E17_PACKETS = int(os.environ.get("REPRO_E17_PACKETS", "10000"))
 E17_RACKS = int(os.environ.get("REPRO_E17_RACKS", "64"))
@@ -46,37 +43,11 @@ E17_DELAY = int(os.environ.get("REPRO_E17_DELAY", "4"))
 E17_MAX_TRANSMIT_SHARE = 0.40
 
 
-def _dense_cell(num_packets: int, num_racks: int = E17_RACKS, seed: int = 17):
-    """A saturated-pairs cell: few hot edges, each with a very deep queue.
-
-    Arrivals outpace the drain on the node-disjoint hot edges, so each
-    accumulates a pending queue hundreds of chunks deep while the matching
-    keeps serving all of them every slot.
-    """
-    topology = projector_fabric(
-        num_racks=num_racks,
-        lasers_per_rack=2,
-        photodetectors_per_rack=2,
-        delay=E17_DELAY,
-        seed=seed,
-    )
-    packets = list(
-        iter_saturated_pairs_workload(
-            topology,
-            num_packets=num_packets,
-            num_pairs=E17_PAIRS,
-            hot_fraction=0.95,
-            arrival_rate=8.0,
-            weight_sampler=uniform_weights(1, 10),
-            seed=seed + 1,
-        )
-    )
-    return topology, packets
-
-
 def test_e17_lazy_transmit_walk(run_once, report, monkeypatch) -> None:
     """Speed-1 transmit walks only matched heads, bit-identically to the reference."""
-    topology, packets = _dense_cell(E17_PACKETS)
+    topology, packets = build_saturated_cell(
+        E17_RACKS, E17_PACKETS, seed=17, delay=E17_DELAY, num_pairs=E17_PAIRS
+    )
     snapshots = []
     chunks_on_edge = PendingChunkPool.chunks_on_edge
 

@@ -53,17 +53,6 @@ without writing Python:
     checkpoint; ``search resume`` continues one (optionally with
     ``--generations`` extended).
 
-``python -m repro.cli bench run --section dispatch``
-    Measure one named hot-path benchmark section (``dispatch``,
-    ``scheduler``, ``transmit``, ``run_multi``, ``streaming`` — or all of
-    them by default) on a seeded cell, verify bit-identity against the
-    reference configuration, and append a machine-stamped history point to
-    the section's ``BENCH_<section>.json`` trajectory.  ``bench report``
-    renders the recorded trend; ``bench check --tolerance 0.3`` re-measures
-    and fails (exit 1) when throughput drops more than the tolerance below
-    the best prior point from comparable hardware at the same scale — the
-    CI perf-regression gate.
-
 Every generating subcommand accepts ``--seed`` and prints deterministic
 output for a fixed seed (``scenarios`` takes its seeds from the registry's
 declarative cells instead); sweep and scenario output is identical for any
@@ -124,11 +113,6 @@ _SWEEPS = ("competitive", "speedup", "delays", "hybrid", "tiers")
 #: Mirrors repro.search.BUDGETS (kept literal so building the parser does not
 #: import the search subsystem; a regression test pins the two in sync).
 _SEARCH_BUDGETS = ("smoke", "default", "full")
-#: Mirrors repro.bench.SECTIONS (same literal-for-lazy-import reasoning; a
-#: regression test pins the two in sync).
-_BENCH_SECTIONS = ("dispatch", "scheduler", "transmit", "run_multi", "streaming")
-#: Default directory of the BENCH_<section>.json history files: the repo root.
-_BENCH_DIR = Path(__file__).resolve().parents[2]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,49 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     search_report.add_argument("--checkpoint", required=True, metavar="PATH")
     search_report.set_defaults(func=cmd_search_report)
 
-    bench = sub.add_parser(
-        "bench", help="record, report and gate the performance trajectory"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    def _bench_scale_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--section", choices=_BENCH_SECTIONS, default=None,
-            help="one section (default: every section)",
-        )
-        p.add_argument(
-            "--packets", type=int, default=None,
-            help="override the section's default packet count",
-        )
-        p.add_argument("--racks", type=int, default=16)
-        p.add_argument("--seed", type=int, default=15)
-        p.add_argument(
-            "--dir", default=str(_BENCH_DIR), metavar="PATH",
-            help="directory holding the BENCH_<section>.json files",
-        )
-
-    bench_run = bench_sub.add_parser(
-        "run", help="run section benchmarks and append history points"
-    )
-    _bench_scale_args(bench_run)
-    bench_run.set_defaults(func=cmd_bench_run)
-
-    bench_report = bench_sub.add_parser(
-        "report", help="render the recorded throughput trajectory"
-    )
-    bench_report.add_argument("--dir", default=str(_BENCH_DIR), metavar="PATH")
-    bench_report.set_defaults(func=cmd_bench_report)
-
-    bench_check = bench_sub.add_parser(
-        "check",
-        help="fail when throughput regresses vs the best comparable prior point",
-    )
-    _bench_scale_args(bench_check)
-    bench_check.add_argument(
-        "--tolerance", type=float, default=0.3,
-        help="allowed fractional drop below the comparable best (default 0.3)",
-    )
-    bench_check.set_defaults(func=cmd_bench_check)
     return parser
 
 
@@ -921,94 +862,6 @@ def cmd_search_report(args: argparse.Namespace) -> int:
         print()
         print(_hall_of_fame_table(entries, title="hall of fame"))
     return 0
-
-
-def _bench_sections(args: argparse.Namespace) -> list:
-    from repro.bench import SECTIONS
-
-    return list(SECTIONS) if args.section is None else [args.section]
-
-
-def cmd_bench_run(args: argparse.Namespace) -> int:
-    """Run benchmark sections and append each point to its history file."""
-    from repro.bench import (
-        BenchBitIdentityError,
-        bench_path,
-        bench_tag,
-        load_history,
-        run_section,
-        save_history,
-    )
-
-    for section in _bench_sections(args):
-        path = bench_path(section, args.dir)
-        try:
-            history = load_history(path)
-        except ValueError as exc:
-            print(f"error: refusing to overwrite benchmark history: {exc}",
-                  file=sys.stderr)
-            return 1
-        try:
-            point = run_section(
-                section, packets=args.packets, racks=args.racks, seed=args.seed
-            )
-        except BenchBitIdentityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        history.append(point)
-        save_history(path, history, bench_tag(section))
-        print(
-            f"{section:>10}: {point['throughput_pps']:.1f} packets/s, "
-            f"speedup {point['speedup']:.2f}x -> {path} "
-            f"({len(history)} history points)"
-        )
-    return 0
-
-
-def cmd_bench_report(args: argparse.Namespace) -> int:
-    """Render the recorded throughput trajectory of every section."""
-    from repro.bench import render_report
-
-    print(render_report(args.dir))
-    return 0
-
-
-def cmd_bench_check(args: argparse.Namespace) -> int:
-    """Gate: re-measure sections and fail on a comparable-throughput regression.
-
-    Measures each requested section at the given (smoke) scale and compares
-    against the recorded history WITHOUT appending — the gate observes the
-    trajectory, it does not write it.
-    """
-    from repro.bench import (
-        BenchBitIdentityError,
-        bench_path,
-        check_history,
-        load_history,
-        run_section,
-    )
-
-    if not 0 <= args.tolerance < 1:
-        print("error: --tolerance must lie in [0, 1)", file=sys.stderr)
-        return 2
-    failed = False
-    for section in _bench_sections(args):
-        try:
-            history = load_history(bench_path(section, args.dir))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        try:
-            point = run_section(
-                section, packets=args.packets, racks=args.racks, seed=args.seed
-            )
-        except BenchBitIdentityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        ok, message = check_history(history, point, args.tolerance)
-        print(f"{section:>10}: {message}")
-        failed = failed or not ok
-    return 1 if failed else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -32,11 +32,6 @@ class OpportunisticLinkScheduler(Policy):
         Forwarded to the dispatcher; when set, every dispatch decision keeps
         its full per-edge impact breakdown (used by analysis and by the
         Figure 2 reproduction).
-    incremental_scheduler:
-        Forwarded to the scheduler as ``incremental``; ``False`` keeps the
-        from-scratch greedy matching pass even on indexed-engine pools.
-        Decisions are identical either way — benchmarks use the flag to
-        isolate the scheduler-phase cost of the incremental repair.
 
     Examples
     --------
@@ -50,13 +45,11 @@ class OpportunisticLinkScheduler(Policy):
     True
     """
 
-    def __init__(
-        self, record_decisions: bool = False, incremental_scheduler: bool = True
-    ) -> None:
+    def __init__(self, record_decisions: bool = False) -> None:
         super().__init__(
             name="ALG(stable-matching+impact-dispatch)",
             dispatcher=ImpactDispatcher(record_decisions=record_decisions),
-            scheduler=StableMatchingScheduler(incremental=incremental_scheduler),
+            scheduler=StableMatchingScheduler(),
         )
 
     @property

@@ -95,20 +95,18 @@ class StableMatchingScheduler(OrderedGreedyScheduler):
     matching: every skipped chunk is blocked by a selected chunk of at least
     its weight sharing its transmitter or receiver.
 
-    With ``incremental=True`` (the default) the scheduler advertises
-    ``uses_matching_index``, so indexed-engine lanes give it a pool whose
-    :class:`~repro.core.matching_index.MatchingIndex` repairs the previous
-    slot's matching from the arrival/completion/activation delta; reading it
-    replaces the full greedy pass.  ``incremental=False`` keeps the
-    from-scratch pass even on indexed pools — the configuration benchmarks
-    use to isolate the scheduler-phase speedup.
+    The scheduler advertises ``uses_matching_index``, so indexed-engine lanes
+    give it a pool whose :class:`~repro.core.matching_index.MatchingIndex`
+    repairs the previous slot's matching from the arrival/completion/activation
+    delta; reading it replaces the full greedy pass.  The from-scratch pass on
+    the same pool is ``OrderedGreedyScheduler(chunk_priority_key)``.
     """
 
     name = "stable-matching"
+    uses_matching_index = True
 
-    def __init__(self, incremental: bool = True) -> None:
+    def __init__(self) -> None:
         super().__init__(key=chunk_priority_key, name=self.name)
-        self.uses_matching_index = incremental
 
     def select_matching(
         self,
@@ -117,11 +115,10 @@ class StableMatchingScheduler(OrderedGreedyScheduler):
         now: int,
     ) -> List[Chunk]:
         """Return the greedy stable matching of the eligible chunks at ``now``."""
-        if self.uses_matching_index:
-            index = getattr(pool, "matching_index", None)
-            if index is not None and now >= pool.eligible_through:
-                # The index tracks the pool's eligible partition; advancing
-                # the watermark feeds it any activations due by ``now``.
-                pool.advance_eligibility(now)
-                return index.current_matching()
+        index = getattr(pool, "matching_index", None)
+        if index is not None and now >= pool.eligible_through:
+            # The index tracks the pool's eligible partition; advancing
+            # the watermark feeds it any activations due by ``now``.
+            pool.advance_eligibility(now)
+            return index.current_matching()
         return super().select_matching(pool, topology, now)

@@ -1,9 +1,9 @@
 """Atomic file finalisation: write to a temp file, then ``os.replace``.
 
-Committed artifacts — benchmark histories, runner JSON output, search
-hall-of-fame files — must never be corrupted by a crash mid-write: a reader
-(or a resumed run) should see either the previous complete version or the
-new complete version, never a truncated hybrid.  Both helpers write to a
+Committed artifacts — runner JSON output, search hall-of-fame files — must
+never be corrupted by a crash mid-write: a reader (or a resumed run) should
+see either the previous complete version or the new complete version, never
+a truncated hybrid.  Both helpers write to a
 temporary file in the *same directory* as the target (so the final
 ``os.replace`` is an atomic rename on the same filesystem) and clean the
 temp file up when the write fails.

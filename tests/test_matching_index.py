@@ -20,10 +20,11 @@ import pytest
 from repro.core.matching_index import MatchingIndex
 from repro.core.packet import Chunk, Packet, split_into_chunks
 from repro.core.queues import PendingChunkPool
-from repro.core.scheduler import StableMatchingScheduler
+from repro.core.scheduler import OrderedGreedyScheduler, StableMatchingScheduler
 from repro.core.stable_matching import greedy_stable_matching, is_stable_matching
 from repro.exceptions import SimulationError
 from repro.network import figure2_topology
+from repro.utils.ordering import chunk_priority_key
 
 
 def make_chunk(
@@ -378,7 +379,7 @@ class TestPoolIntegration:
         ):
             pool.add(make_chunk(pid, weight, edge))
         incremental = StableMatchingScheduler()
-        reference = StableMatchingScheduler(incremental=False)
+        reference = OrderedGreedyScheduler(chunk_priority_key)
         assert incremental.uses_matching_index
         assert not reference.uses_matching_index
         matching = incremental.select_matching(pool, topology, 1)

@@ -3,7 +3,7 @@
 These tests pin the two invariants every artifact writer in the repository
 now honours:
 
-* *documents* (runner JSON, bench histories, hall-of-fame files) are staged
+* *documents* (runner JSON, hall-of-fame files) are staged
   in a temp file and ``os.replace``d into place, so readers never observe a
   truncated document — even if the writer is SIGKILLed mid-write;
 * *streams* (metrics, heartbeats, slot traces, checkpoints) are flushed per
@@ -24,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from repro.baselines.policies import all_policies
-from repro.bench import load_history, save_history
 from repro.core.packet import Packet
 from repro.exceptions import ExperimentError, ObservabilityError
 from repro.experiments.runner import read_json, write_json, write_jsonl
@@ -235,16 +234,4 @@ class TestAtomicDocuments:
             write_jsonl(rows_then_crash(), target)
         # the failed rewrite left the previous version untouched
         assert json.loads(target.read_text()) == {"a": 1}
-        assert _no_temp_files(tmp_path)
-
-    def test_bench_history_survives_interrupted_rewrite(self, tmp_path):
-        target = tmp_path / "BENCH_demo.json"
-        save_history(target, [{"slots_per_s": 100.0}], tag="demo")
-        before = target.read_text(encoding="utf-8")
-        with pytest.raises(RuntimeError):
-            with atomic_writer(target) as handle:
-                handle.write('{"benchmark": "demo", "history": [')
-                raise RuntimeError("interrupted")
-        assert target.read_text(encoding="utf-8") == before
-        assert load_history(target) == [{"slots_per_s": 100.0}]
         assert _no_temp_files(tmp_path)
