@@ -22,7 +22,6 @@ thresholds; the defaults are the full-size assertions):
 
 * ``REPRO_E16_PACKETS`` — workload size;
 * ``REPRO_E16_RACKS`` — fabric size (≥64 by default);
-* ``REPRO_E16_DELAY`` — uniform reconfigurable-edge delay (chunks/packet);
 * ``REPRO_E16_MIN_SPEEDUP`` / ``REPRO_E16_PHASE_MIN_SPEEDUP`` — thresholds.
 """
 
@@ -37,9 +36,10 @@ from repro.utils.ordering import chunk_priority_key
 
 E16_PACKETS = int(os.environ.get("REPRO_E16_PACKETS", "5000"))
 E16_RACKS = int(os.environ.get("REPRO_E16_RACKS", "64"))
-E16_DELAY = int(os.environ.get("REPRO_E16_DELAY", "4"))
 E16_MIN_SPEEDUP = float(os.environ.get("REPRO_E16_MIN_SPEEDUP", "3.0"))
 E16_PHASE_MIN_SPEEDUP = float(os.environ.get("REPRO_E16_PHASE_MIN_SPEEDUP", "10"))
+#: Uniform reconfigurable-edge delay (chunks per packet) of the cell.
+E16_DELAY = 4
 
 
 def test_e16_incremental_vs_flat_scheduler(run_once, report) -> None:

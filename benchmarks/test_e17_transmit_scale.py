@@ -23,8 +23,7 @@ full-size assertions):
 
 * ``REPRO_E17_PACKETS`` — workload size;
 * ``REPRO_E17_RACKS`` — fabric size (≥64 by default);
-* ``REPRO_E17_PAIRS`` — number of node-disjoint saturated pairs;
-* ``REPRO_E17_DELAY`` — uniform reconfigurable-edge delay (chunks/packet).
+* ``REPRO_E17_PAIRS`` — number of node-disjoint saturated pairs.
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ from repro.core.queues import PendingChunkPool
 E17_PACKETS = int(os.environ.get("REPRO_E17_PACKETS", "10000"))
 E17_RACKS = int(os.environ.get("REPRO_E17_RACKS", "64"))
 E17_PAIRS = int(os.environ.get("REPRO_E17_PAIRS", "8"))
-E17_DELAY = int(os.environ.get("REPRO_E17_DELAY", "4"))
+#: Uniform reconfigurable-edge delay (chunks per packet) of the cell.
+E17_DELAY = 4
 #: Bound on the transmit span's share of the indexed run's wall time; the lazy
 #: walk measures about 0.27 at full scale and 0.26 at CI smoke scale.
 E17_MAX_TRANSMIT_SHARE = 0.40

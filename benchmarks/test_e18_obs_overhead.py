@@ -6,7 +6,7 @@ PR 9's instrumentation promises two things the engine's hot loops depend on:
   slot-sampled phase spans and a metrics-snapshot file produces exactly the
   same summary as a plain run (the instruments only record);
 * **bounded cost** — the enabled instrumentation adds at most
-  ``REPRO_E18_MAX_OVERHEAD`` fractional wall-clock overhead on a dense
+  ``E18_MAX_OVERHEAD`` (0.25) fractional wall-clock overhead on a dense
   cell, and the disabled default (the shared ``NULL_REGISTRY``) costs
   nothing measurable because every hot-path hook hides behind one boolean.
 
@@ -19,13 +19,13 @@ swings by tens of percent either way on a shared 2-CPU host, while the
 median of five holds steady within a few percent.  The plain run of each pair goes first so a cold allocator
 penalises the *uninstrumented* side if anything.
 
-Environment knobs (the CI smoke step shrinks the cell and relaxes the
-threshold; the defaults are the full-size assertions):
+Phase spans are sampled every ``E18_SPAN_STRIDE`` (16) slots.
+
+Environment knobs (the CI smoke step shrinks the cell; the defaults are the
+full-size assertions):
 
 * ``REPRO_E18_PACKETS`` — workload size;
-* ``REPRO_E18_RACKS`` — fabric size;
-* ``REPRO_E18_SPAN_STRIDE`` — phase-span sampling stride (0 disables spans);
-* ``REPRO_E18_MAX_OVERHEAD`` — maximum fractional slowdown with obs on.
+* ``REPRO_E18_RACKS`` — fabric size.
 """
 
 from __future__ import annotations
@@ -43,8 +43,10 @@ from repro.workloads.adversarial import iter_contention_hotspot_workload
 
 E18_PACKETS = int(os.environ.get("REPRO_E18_PACKETS", "3000"))
 E18_RACKS = int(os.environ.get("REPRO_E18_RACKS", "48"))
-E18_SPAN_STRIDE = int(os.environ.get("REPRO_E18_SPAN_STRIDE", "16"))
-E18_MAX_OVERHEAD = float(os.environ.get("REPRO_E18_MAX_OVERHEAD", "0.25"))
+#: Phase-span sampling stride of the instrumented run.
+E18_SPAN_STRIDE = 16
+#: Maximum fractional slowdown with obs on, the same at every size.
+E18_MAX_OVERHEAD = 0.25
 #: Alternating plain/instrumented pairs timed per comparison.
 E18_PAIRS = 5
 

@@ -6,7 +6,7 @@ PR 10's fault subsystem makes two promises this benchmark pins:
   escape hatch) with ``REPRO_E19_FAILED_LASERS`` lasers knocked out for a
   recovery window, the ``on_fail="requeue"`` engine still delivers every
   packet and the weighted-latency ratio versus the fault-free run stays
-  under ``REPRO_E19_MAX_DEGRADATION``: a partial outage degrades service,
+  under ``E19_MAX_DEGRADATION`` (3.0): a partial outage degrades service,
   it does not collapse it;
 * **crash-tolerant sweeps** — a checkpointed experiment sweep whose process
   is SIGKILLed mid-grid resumes from its JSONL checkpoint and produces rows
@@ -19,7 +19,6 @@ full-size assertions):
 * ``REPRO_E19_PACKETS`` — workload size per run;
 * ``REPRO_E19_RACKS`` — fabric size;
 * ``REPRO_E19_FAILED_LASERS`` — lasers failed in the outage window;
-* ``REPRO_E19_MAX_DEGRADATION`` — maximum weighted-latency ratio;
 * ``REPRO_E19_GRID`` — grid points in the crash/resume sweep.
 """
 
@@ -41,8 +40,9 @@ from repro.workloads import iter_uniform_random_workload, uniform_weights
 E19_PACKETS = int(os.environ.get("REPRO_E19_PACKETS", "2000"))
 E19_RACKS = int(os.environ.get("REPRO_E19_RACKS", "24"))
 E19_FAILED_LASERS = int(os.environ.get("REPRO_E19_FAILED_LASERS", "8"))
-E19_MAX_DEGRADATION = float(os.environ.get("REPRO_E19_MAX_DEGRADATION", "3.0"))
 E19_GRID = int(os.environ.get("REPRO_E19_GRID", "6"))
+#: Maximum weighted-latency ratio of the outage run over the fault-free run.
+E19_MAX_DEGRADATION = 3.0
 
 
 def _hybrid_cell(seed: int = 19):

@@ -35,11 +35,11 @@ without writing Python:
 
 ``python -m repro.cli scenarios run --grid smoke --jobs 4``
     Expand a named grid (or ``--scenario NAME...``) of the scenario matrix
-    and run every (scenario, seed) cell; in the default ``--mode shared``
-    each cell evaluates all of its policies in a single engine pass over a
-    shared arrival stream (``SimulationEngine.run_multi``), so a P-policy
-    cell generates its workload once instead of P times.  Rows are identical
-    for any ``--jobs``, ``--mode`` and ``--retention``.
+    and run every (scenario, seed) cell; each cell evaluates all of its
+    policies in a single engine pass over a shared arrival stream
+    (``SimulationEngine.run_multi``), so a P-policy cell generates its
+    workload once instead of P times.  Rows are identical for any
+    ``--jobs`` and ``--retention``.
 
 ``python -m repro.cli search run --budget smoke --jobs 4``
     Hunt ALG's empirical worst cases: a deterministic evolutionary search
@@ -238,12 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     scen_run.add_argument(
         "--chunksize", type=int, default=1,
         help="cells streamed to a worker per dispatch (jobs > 1)",
-    )
-    scen_run.add_argument(
-        "--mode", choices=("shared", "per-policy"), default="shared",
-        help="'shared' evaluates each cell's policies in one run_multi pass "
-        "over a shared arrival stream; 'per-policy' runs one task per "
-        "(cell, policy) — identical rows, finer parallelism",
     )
     scen_run.add_argument(
         "--retention", choices=("full", "aggregate"), default="full",
@@ -670,7 +664,6 @@ def cmd_scenarios_run(args: argparse.Namespace) -> int:
     rows = matrix.run(
         jobs=args.jobs,
         chunksize=args.chunksize,
-        mode=args.mode,
         retention=args.retention,
         engine=args.engine,
         output_path=args.output,
@@ -682,7 +675,7 @@ def cmd_scenarios_run(args: argparse.Namespace) -> int:
             rows,
             title=(
                 f"scenario grid: {matrix.name} — {matrix.num_cells} cells, "
-                f"{matrix.num_runs} runs (mode={args.mode}, jobs={args.jobs})"
+                f"{matrix.num_runs} runs (jobs={args.jobs})"
             ),
         )
     )

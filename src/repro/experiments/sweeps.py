@@ -204,16 +204,6 @@ def _delay_row(pool: Sequence[int], name: str, result) -> DelaySweepRow:
     )
 
 
-def _delay_heterogeneity_task(task: ExperimentTask) -> DelaySweepRow:
-    """Build the delay-pool instance from its seeds and run one policy on it."""
-    result = run_policy(
-        _delay_pool_instance(task),
-        task.params["policy"],
-        retention=task.params.get("retention", "full"),
-    )
-    return _delay_row(task.params["pool"], task.params["policy_name"], result)
-
-
 def _delay_heterogeneity_multi_task(task: ExperimentTask) -> List[DelaySweepRow]:
     """Build one delay-pool instance and run every policy over its shared stream."""
     results = run_policies(
@@ -237,17 +227,14 @@ def delay_heterogeneity_sweep(
     jobs: int = 1,
     chunksize: int = 1,
     retention: str = "full",
-    shared_stream: bool = True,
 ) -> List[DelaySweepRow]:
     """Compare policies as the reconfigurable-edge delay distribution widens (E8).
 
-    With ``shared_stream=True`` (default) each delay pool is one task: its
-    instance is generated once and every policy runs over the shared arrival
-    stream via
+    Each delay pool is one task: its instance is generated once and every
+    policy runs over the shared arrival stream via
     :meth:`~repro.simulation.engine.SimulationEngine.run_multi`, so a sweep
     over ``P`` policies performs one workload generation per pool instead of
-    ``P``.  ``shared_stream=False`` restores one task per (pool, policy) —
-    finer ``jobs`` granularity.  Rows are identical either way.
+    ``P``.
     """
     seeds = SeedSequenceFactory(seed)
 
@@ -262,20 +249,12 @@ def delay_heterogeneity_sweep(
             "retention": retention,
         }
 
-    if shared_stream:
-        grid = [
-            {**pool_params(pool), "policies": dict(policies)} for pool in delay_pools
-        ]
-        task_fn = _delay_heterogeneity_multi_task
-    else:
-        grid = [
-            {**pool_params(pool), "policy": policy, "policy_name": name}
-            for pool in delay_pools
-            for name, policy in policies.items()
-        ]
-        task_fn = _delay_heterogeneity_task
+    grid = [{**pool_params(pool), "policies": dict(policies)} for pool in delay_pools]
     spec = ExperimentSpec(
-        name="delay-heterogeneity", task_fn=task_fn, grid=grid, seed=seed
+        name="delay-heterogeneity",
+        task_fn=_delay_heterogeneity_multi_task,
+        grid=grid,
+        seed=seed,
     )
     return run_experiment(spec, jobs=jobs, chunksize=chunksize)
 

@@ -94,9 +94,6 @@ class EngineConfig:
         that never drains its queues).
     record_trace:
         Whether to record a full per-slot event trace in memory.
-    validate_matchings:
-        Whether to check that the scheduler's output is a valid matching of
-        eligible pending chunks each slot (cheap; enabled by default).
     slot_skipping:
         Whether to jump over slots that provably transmit nothing instead of
         simulating them one by one (enabled by default): with an empty pool
@@ -135,13 +132,6 @@ class EngineConfig:
         pass.  Results are bit-identical across both; the reference paths
         remain the differential-test oracle and the fallback while
         debugging the indexes.
-    share_dispatch:
-        Whether :meth:`SimulationEngine.run_multi` lets lanes whose
-        dispatchers share a rule (same ``dispatch_sharing_key``) reuse one
-        impact evaluation per (arrival, pool state) through a
-        :class:`~repro.core.dispatcher.SharedDispatchMemo`.  Sharing never
-        changes results (lanes with diverged pools miss the memo); disabling
-        it replays the PR 3 per-lane dispatch for benchmarking.
     validate_shared_dispatch:
         Debug flag: re-derive every shared-dispatch memo hit from the
         hitting lane's own pool and fail loudly on any mismatch (the
@@ -189,12 +179,10 @@ class EngineConfig:
     speed: float = 1.0
     max_slots: int = 1_000_000
     record_trace: bool = False
-    validate_matchings: bool = True
     slot_skipping: bool = True
     retention: str = "full"
     trace_path: Optional[str] = None
     engine: str = "indexed"
-    share_dispatch: bool = True
     validate_shared_dispatch: bool = False
     obs: Optional[MetricsRegistry] = None
     metrics_path: Optional[str] = None
@@ -766,8 +754,7 @@ class _PolicyLane:
         matching = self.policy.scheduler.select_matching(pool, self._topology, slot)
         if sampled:
             spans.add("scheduler", time.perf_counter() - phase_start)
-        if config.validate_matchings:
-            engine._validate_matching(matching, pool, slot)
+        engine._validate_matching(matching, pool, slot)
         size = len(matching)
         if self._aggregate:
             self.recorder.note_matchings(1, size, size, 1 if size else 0)
@@ -1061,12 +1048,10 @@ class SimulationEngine:
             speed=base.speed if speed is None else speed,
             max_slots=base.max_slots if max_slots is None else max_slots,
             record_trace=base.record_trace if record_trace is None else record_trace,
-            validate_matchings=base.validate_matchings,
             slot_skipping=base.slot_skipping,
             retention=base.retention if retention is None else retention,
             trace_path=base.trace_path,
             engine=base.engine if engine is None else engine,
-            share_dispatch=base.share_dispatch,
             validate_shared_dispatch=base.validate_shared_dispatch,
             obs=base.obs,
             metrics_path=base.metrics_path,
@@ -1213,15 +1198,14 @@ class SimulationEngine:
         Lanes whose dispatchers return the same non-``None``
         ``dispatch_sharing_key`` evaluate one arrival's candidate edges once
         per distinct pool state instead of once per lane (see
-        :class:`~repro.core.dispatcher.SharedDispatchMemo`).  Returns the
-        ``(policy, memo)`` pairs that were wired, so the caller can detach
-        the memos when the run ends.
+        :class:`~repro.core.dispatcher.SharedDispatchMemo`).  Sharing never
+        changes results: a lane whose pool has diverged misses the memo and
+        evaluates on its own.  Returns the ``(policy, memo)`` pairs that
+        were wired, so the caller can detach the memos when the run ends.
         """
         from repro.core.dispatcher import SharedDispatchMemo
 
         pairs: List[Tuple[Policy, SharedDispatchMemo]] = []
-        if not self.config.share_dispatch or len(policies) < 2:
-            return pairs
         groups: Dict[object, List[Policy]] = {}
         for policy in policies:
             key = policy.dispatcher.dispatch_sharing_key()

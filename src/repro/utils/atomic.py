@@ -3,18 +3,10 @@
 Committed artifacts — runner JSON output, search hall-of-fame files — must
 never be corrupted by a crash mid-write: a reader (or a resumed run) should
 see either the previous complete version or the new complete version, never
-a truncated hybrid.  Both helpers write to a
-temporary file in the *same directory* as the target (so the final
-``os.replace`` is an atomic rename on the same filesystem) and clean the
-temp file up when the write fails.
-
-Examples
---------
->>> import tempfile, pathlib
->>> target = pathlib.Path(tempfile.mkdtemp()) / "data.json"
->>> _ = atomic_write_text(target, '{"ok": true}\\n')
->>> target.read_text()
-'{"ok": true}\\n'
+a truncated hybrid.  :func:`atomic_writer` writes to a temporary file in
+the *same directory* as the target (so the final ``os.replace`` is an atomic
+rename on the same filesystem) and cleans the temp file up when the write
+fails.
 """
 
 from __future__ import annotations
@@ -25,7 +17,7 @@ from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import IO, Iterator, Union
 
-__all__ = ["atomic_writer", "atomic_write_text"]
+__all__ = ["atomic_writer"]
 
 
 @contextmanager
@@ -35,6 +27,15 @@ def atomic_writer(path: Union[str, Path], encoding: str = "utf-8") -> Iterator[I
     The handle writes to a temporary file next to ``path``; on clean exit the
     temp file atomically replaces ``path``.  On any exception the temp file
     is removed and ``path`` is left exactly as it was.
+
+    Examples
+    --------
+    >>> import tempfile, pathlib
+    >>> target = pathlib.Path(tempfile.mkdtemp()) / "data.json"
+    >>> with atomic_writer(target) as handle:
+    ...     _ = handle.write('{"ok": true}\\n')
+    >>> target.read_text()
+    '{"ok": true}\\n'
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -50,10 +51,3 @@ def atomic_writer(path: Union[str, Path], encoding: str = "utf-8") -> Iterator[I
             os.unlink(tmp_name)
         raise
 
-
-def atomic_write_text(path: Union[str, Path], text: str, encoding: str = "utf-8") -> Path:
-    """Atomically replace ``path``'s content with ``text`` and return the path."""
-    path = Path(path)
-    with atomic_writer(path, encoding=encoding) as handle:
-        handle.write(text)
-    return path

@@ -303,9 +303,8 @@ def test_naive_vs_fast_vs_run_multi(scenario: Scenario, seed: int) -> None:
     The naive loop (which uses the reference adjacency scan by construction —
     its pool maintains no impact index) anchors the comparison; the
     production paths are exercised under the ``indexed`` and ``reference``
-    backends, and ``run_multi`` additionally under
-    shared-dispatch lanes with the cross-lane invariant check enabled and
-    under the PR 3 per-lane dispatch (sharing off).  Several cells pair
+    backends, and ``run_multi`` additionally under shared-dispatch lanes
+    with the cross-lane invariant check enabled.  Several cells pair
     ``alg`` with ``impact+fifo`` — two policies sharing the impact rule — so
     the memo genuinely activates, including at speed 1.7 (``diff-delays``).
     """
@@ -328,16 +327,12 @@ def test_naive_vs_fast_vs_run_multi(scenario: Scenario, seed: int) -> None:
         }
 
         # Path 3: shared-stream multi-policy passes — shared-dispatch lanes
-        # with hit validation, the PR 3 per-lane dispatch, and aggregate
-        # retention with sharing.
+        # with hit validation, and aggregate retention with sharing.
         multi_variants: Dict[str, Dict[str, Dict[str, float]]] = {}
         for label, config in {
             "run_multi(shared dispatch, validated)": EngineConfig(
                 speed=scenario.speed, engine=engine_mode,
                 validate_shared_dispatch=True,
-            ),
-            "run_multi(per-lane dispatch)": EngineConfig(
-                speed=scenario.speed, engine=engine_mode, share_dispatch=False
             ),
             "run_multi(aggregate, shared dispatch)": EngineConfig(
                 speed=scenario.speed, engine=engine_mode, retention="aggregate"

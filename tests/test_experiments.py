@@ -25,7 +25,7 @@ from repro.experiments import (
     two_tier_sweep,
     write_csv,
 )
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, SimulationError
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +86,17 @@ class TestComparison:
         policies = {"alg": OpportunisticLinkScheduler()}
         rows = compare_policies_on_suite(two, policies)
         assert {r.instance for r in rows} == {"uniform", "incast"}
+
+    def test_suite_rejects_one_policy_under_two_names(self, tiny_suite):
+        """Every name races in one run_multi pass, so each needs its own state.
+
+        The runner re-raises the engine's ``SimulationError`` with the task's
+        grid context, keeping the original as the cause.
+        """
+        alg = OpportunisticLinkScheduler()
+        with pytest.raises(ExperimentError, match="distinct policy object") as info:
+            compare_policies_on_suite({"uniform": tiny_suite["uniform"]}, {"a": alg, "b": alg})
+        assert isinstance(info.value.__cause__, SimulationError)
 
     def test_format_table(self, tiny_suite):
         rows = compare_policies_on_instance(tiny_suite["uniform"])

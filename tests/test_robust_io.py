@@ -31,7 +31,7 @@ from repro.network.builders import projector_fabric
 from repro.obs import MetricsWriter, read_metric_records
 from repro.simulation import simulate
 from repro.simulation.trace import SlotTraceWriter, iter_slot_traces
-from repro.utils.atomic import atomic_write_text, atomic_writer
+from repro.utils.atomic import atomic_writer
 from repro.utils.jsonl import iter_json_lines
 
 
@@ -70,12 +70,6 @@ class TestAtomicWriter:
                 handle.write("partial")
                 raise RuntimeError("writer died")
         assert not target.exists()
-        assert _no_temp_files(tmp_path)
-
-    def test_atomic_write_text(self, tmp_path):
-        target = tmp_path / "note.txt"
-        assert atomic_write_text(target, "hello\n") == target
-        assert target.read_text(encoding="utf-8") == "hello\n"
         assert _no_temp_files(tmp_path)
 
     def test_missing_parent_directories_are_created(self, tmp_path):

@@ -142,10 +142,6 @@ class TestMatrix:
             len(s.policies) * len(s.seeds) for s in matrix.scenarios
         )
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ScenarioError, match="mode"):
-            grid_matrix("smoke").to_experiment_spec(mode="telepathic")
-
     def test_rows_are_grid_composition_invariant(self):
         """A scenario's rows do not depend on which matrix runs it."""
         alone = scenario_matrix(["tiny-random"], name="solo").run()
@@ -170,8 +166,7 @@ class TestMatrix:
         default = matrix.run()  # scenario default ("indexed")
         indexed = matrix.run(engine="indexed")
         reference = matrix.run(engine="reference")
-        per_policy_reference = matrix.run(engine="reference", mode="per-policy")
-        assert default == indexed == reference == per_policy_reference
+        assert default == indexed == reference
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(ScenarioError, match="engine"):
