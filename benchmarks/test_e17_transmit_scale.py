@@ -14,7 +14,7 @@ Three checks, on the ``indexed`` engine at speed 1:
 
 * its summary is bit-identical to ``engine="reference"``;
 * transmit builds no per-edge snapshot: a wrapper installed around
-  :meth:`PendingChunkPool.chunks_on_edge` counts exactly 0 calls;
+  :meth:`PendingChunkPool.eligible_on_edge` counts exactly 0 calls;
 * the engine's own ``transmit`` span (``span_stride=1``) is at most
   ``E17_MAX_TRANSMIT_SHARE`` (0.40) of the run's wall time.
 
@@ -49,15 +49,15 @@ def test_e17_lazy_transmit_walk(run_once, report, monkeypatch) -> None:
         E17_RACKS, E17_PACKETS, seed=17, delay=E17_DELAY, num_pairs=E17_PAIRS
     )
     snapshots = []
-    chunks_on_edge = PendingChunkPool.chunks_on_edge
+    eligible_on_edge = PendingChunkPool.eligible_on_edge
 
-    def counting_chunks_on_edge(pool, transmitter, receiver):
+    def counting_eligible_on_edge(pool, transmitter, receiver, now):
         snapshots.append((transmitter, receiver))
-        return chunks_on_edge(pool, transmitter, receiver)
+        return eligible_on_edge(pool, transmitter, receiver, now)
 
     def compare():
         reference = time_single_phases(topology, packets, "reference")
-        monkeypatch.setattr(PendingChunkPool, "chunks_on_edge", counting_chunks_on_edge)
+        monkeypatch.setattr(PendingChunkPool, "eligible_on_edge", counting_eligible_on_edge)
         try:
             indexed = time_single_phases(topology, packets, "indexed")
         finally:

@@ -48,8 +48,8 @@ Two task kinds exist:
 
 Chunks are stored per *edge* (transmitter–receiver pair), not per port, as
 key-sorted ``(priority key, chunk)`` pairs — the key is a total order, so
-pairs sort and bisect with C-level tuple comparisons and the key function
-runs exactly once per chunk, at activation.  Every chunk on one edge is
+pairs sort and bisect with C-level tuple comparisons on the key each chunk
+stores (:attr:`~repro.core.packet.Chunk.key`).  Every chunk on one edge is
 blocked by the *same* port owners, so a scan only ever needs each edge's
 head; each port therefore also keeps a key-sorted *head list* of
 ``(edge head key, peer port)``, one entry per non-empty edge, updated only
@@ -70,7 +70,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.packet import Chunk
 from repro.exceptions import SimulationError
-from repro.utils.ordering import chunk_priority_key
 
 __all__ = ["MatchingIndex"]
 
@@ -125,7 +124,7 @@ class MatchingIndex:
         self._tx_owner: Dict[str, _Entry] = {}
         self._rx_owner: Dict[str, _Entry] = {}
         self._matched: Set[_Entry] = set()
-        # Chunk → its cached priority key; doubles as the eligibility set.
+        # Chunk → its priority key; doubles as the eligibility set.
         self._eligible: Dict[Chunk, _Key] = {}
         # Pending repair tasks: (priority key, seq, kind, payload).  The seq
         # makes entries unique so kinds/payloads are never compared.
@@ -143,7 +142,7 @@ class MatchingIndex:
         """Track a chunk that just became eligible."""
         if chunk in self._eligible:
             raise SimulationError(f"chunk {chunk!r} is already tracked by the matching index")
-        key = chunk_priority_key(chunk)
+        key = chunk.key
         self._eligible[chunk] = key
         tx, rx = chunk.transmitter, chunk.receiver
         edge_list = self._edges.setdefault((tx, rx), [])
@@ -221,6 +220,10 @@ class MatchingIndex:
         """
         self._drain()
         return [chunk for _, chunk in sorted(self._matched)]
+
+    def edge_chunks(self, transmitter: str, receiver: str) -> List[Chunk]:
+        """The tracked (eligible) chunks on edge ``(transmitter, receiver)``, in priority order."""
+        return [chunk for _, chunk in self._edges.get((transmitter, receiver), ())]
 
     def __len__(self) -> int:
         return len(self._eligible)

@@ -82,11 +82,19 @@ class Chunk:
     ``remaining_work`` (1.0 when untransmitted, 0.0 when fully transmitted)
     and, once delivered, the slot in which it crossed its edge and the time it
     reached the destination.
+
+    ``key`` is the chunk's total-order priority key
+    ``(-weight, arrival, packet id, index)``
+    (:func:`~repro.utils.ordering.chunk_priority_key`), computed once here:
+    none of its fields change after the split (a fault redispatch moves only
+    the edge, tail delay and eligible time), so sorted indexes compare the
+    stored tuple instead of calling a key function.
     """
 
     __slots__ = (
         "packet",
         "index",
+        "key",
         "size",
         "weight",
         "transmitter",
@@ -117,6 +125,7 @@ class Chunk:
             raise ValueError(f"chunk weight must be positive, got {weight}")
         self.packet = packet
         self.index = index
+        self.key = (-weight, packet.arrival, packet.packet_id, index)
         self.size = size
         self.weight = weight
         self.transmitter = transmitter

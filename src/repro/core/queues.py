@@ -1,32 +1,44 @@
 """Pending-chunk bookkeeping shared by dispatchers, schedulers and the engine.
 
-The :class:`PendingChunkPool` indexes all dispatched-but-undelivered chunks
+The :class:`PendingChunkPool` holds all dispatched-but-undelivered chunks and
+offers them in the single chunk order defined in :mod:`repro.utils.ordering`
+(decreasing weight, ties by earlier arrival).  Every chunk stores its
+priority key (:attr:`~repro.core.packet.Chunk.key`, immutable for the
+chunk's lifetime: the engine only mutates ``remaining_work``, and a fault
+redispatch only the edge and timing fields), so each sorted list bisects on
+the stored tuple through a C-level ``attrgetter`` instead of calling a key
+function per comparison.
 
-* by reconfigurable edge (the per-edge transmission queue),
-* by transmitter and by receiver (the adjacency sets the dispatcher's
-  ``A_p(e)`` computation and the stable-matching blocking relation need),
+Orderings are kept only while someone reads them:
 
-and offers priority-ordered iteration using the single chunk order defined in
-:mod:`repro.utils.ordering` (decreasing weight, ties by earlier arrival).
+* **eager** — the eligibility partition below (the eligible set and the
+  future activation buckets), which every scheduler and the engine's
+  slot-skipping fast path consult;
+* **lazy** — the incidence lists by reconfigurable edge, by transmitter and
+  by receiver (:meth:`chunks_on_edge`, :meth:`chunks_at_transmitter`,
+  :meth:`chunks_at_receiver`, :meth:`adjacent_chunks`,
+  :meth:`weight_at_transmitter`, :meth:`weight_at_receiver`), and the
+  priority- and FIFO-ordered views of the eligible set.  Each is built by
+  sorting the pool on its first read and maintained incrementally by
+  binary-search insertion afterwards.
 
-Every index is a list kept sorted by :func:`~repro.utils.ordering.chunk_priority_key`
-via binary-search insertion.  The key is immutable for a chunk's lifetime
-(weight, arrival, packet id, chunk index — the engine only mutates
-``remaining_work``), so queries like :meth:`chunks_on_edge`,
-:meth:`eligible_chunks` and :meth:`adjacent_chunks` return already-ordered
-data instead of re-sorting the pool on every call — the per-slot hot path of
-the simulation engine.
+On the ``engine="indexed"`` ALG path the impact index answers the
+dispatcher, the matching index answers the scheduler and its per-edge lists
+answer a spilling transmit walk (:meth:`eligible_on_edge`), so a fault-free
+ALG lane builds none of the lazy orderings.  Fault eviction, the
+least-loaded baseline and the reference scan build the lists they read on
+their first query.
 
 Eligibility partition
 ---------------------
 Pending chunks are split into two sets: *eligible* chunks
-(``eligible_time <= watermark``) live in priority-sorted iteration lists,
-while *future* chunks (head-of-line delay not yet elapsed) wait in
-time-bucketed activation queues keyed by their ``eligible_time``.  A
-monotone watermark (:attr:`eligible_through`) advances with the queries, and
+(``eligible_time <= watermark``) form the eligible set, while *future*
+chunks (head-of-line delay not yet elapsed) wait in time-bucketed
+activation queues keyed by their ``eligible_time``.  A monotone watermark
+(:attr:`eligible_through`) advances with the queries, and
 :meth:`advance_eligibility` promotes whole buckets as their activation time
 is reached.  This turns :meth:`eligible_chunks` from a full-pool filter into
-a straight read of the eligible list, and lets the engine's slot-skipping
+a straight read of the eligible view, and lets the engine's slot-skipping
 fast path jump directly to :meth:`next_activation_time` when nothing is
 currently eligible.
 """
@@ -35,22 +47,66 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from operator import attrgetter, itemgetter
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.impact_index import ImpactIndex
 from repro.core.matching_index import MatchingIndex
 from repro.core.packet import Chunk
 from repro.exceptions import SimulationError
-from repro.utils.ordering import chunk_fifo_key, chunk_priority_key
 
 __all__ = ["PendingChunkPool"]
+
+#: The stored priority key; sorted chunk lists bisect through it.
+_KEY = attrgetter("key")
+#: Grouping fields of the three incidence lists.
+_EDGE = attrgetter("transmitter", "receiver")
+_TRANSMITTER = attrgetter("transmitter")
+_RECEIVER = attrgetter("receiver")
+#: The chunk of a FIFO-view entry.
+_CHUNK = itemgetter(1)
+
+_Incidence = Dict[Hashable, List[Chunk]]
+
+
+def _fifo_entry(chunk: Chunk) -> Tuple[Tuple[float, int, int], Chunk]:
+    """A chunk's FIFO-view entry: ``(arrival, packet id, index)`` paired with the chunk.
+
+    The tail of the stored priority key is
+    :func:`~repro.utils.ordering.chunk_fifo_key`; it is a total order, so
+    the pairs sort and bisect without ever comparing chunks.
+    """
+    return (chunk.key[1:], chunk)
 
 
 def _sorted_remove(chunks: List[Chunk], chunk: Chunk) -> None:
     """Remove ``chunk`` from a priority-sorted list (O(log n) search, O(n) tail shift)."""
     # The priority key is a total order (it ends in packet id / chunk
     # index), so the chunk sits exactly at its key's bisection point.
-    del chunks[bisect_left(chunks, chunk_priority_key(chunk), key=chunk_priority_key)]
+    del chunks[bisect_left(chunks, chunk.key, key=_KEY)]
+
+
+def _group_sorted(chunks: Iterable[Chunk], field: Callable[[Chunk], Hashable]) -> _Incidence:
+    """Priority-sorted incidence lists of ``chunks``, grouped by ``field``."""
+    groups: _Incidence = {}
+    for chunk in sorted(chunks, key=_KEY):
+        groups.setdefault(field(chunk), []).append(chunk)
+    return groups
+
+
+def _insert(groups: Optional[_Incidence], port: Hashable, chunk: Chunk) -> None:
+    """Insert ``chunk`` into a built incidence map (no-op while it is unbuilt)."""
+    if groups is not None:
+        insort(groups.setdefault(port, []), chunk, key=_KEY)
+
+
+def _delete(groups: Optional[_Incidence], port: Hashable, chunk: Chunk) -> None:
+    """Delete ``chunk`` from a built incidence map (no-op while it is unbuilt)."""
+    if groups is not None:
+        group = groups[port]
+        _sorted_remove(group, chunk)
+        if not group:
+            del groups[port]
 
 
 class PendingChunkPool:
@@ -73,10 +129,12 @@ class PendingChunkPool:
     """
 
     def __init__(self, *, impact_index: bool = False, matching_index: bool = False) -> None:
-        self._by_edge: Dict[Tuple[str, str], List[Chunk]] = {}
-        self._by_transmitter: Dict[str, List[Chunk]] = {}
-        self._by_receiver: Dict[str, List[Chunk]] = {}
         self._all: Set[Chunk] = set()
+        # Incidence lists (edge, transmitter, receiver → priority-sorted
+        # chunks), each ``None`` until its first read.
+        self._by_edge: Optional[_Incidence] = None
+        self._by_transmitter: Optional[_Incidence] = None
+        self._by_receiver: Optional[_Incidence] = None
         # Eligibility partition: chunks whose eligible_time has been reached
         # (relative to the monotone watermark) form the eligible set; later
         # chunks wait in per-activation-time buckets fronted by a min-heap of
@@ -87,7 +145,7 @@ class PendingChunkPool:
         # matching scheduler needs neither view).
         self._eligible_set: Set[Chunk] = set()
         self._eligible: Optional[List[Chunk]] = None
-        self._eligible_fifo: Optional[List[Chunk]] = None
+        self._eligible_fifo: Optional[List[Tuple[Tuple[float, int, int], Chunk]]] = None
         self._future: Dict[int, List[Chunk]] = {}
         self._future_times: List[int] = []
         self._eligible_through = 0
@@ -119,7 +177,8 @@ class PendingChunkPool:
         self._all.add(chunk)
         self._size += 1
         self._pending_work += chunk.remaining_work
-        self._impact_fingerprint += hash((chunk.transmitter, chunk.receiver, chunk.weight))
+        tx, rx = chunk.transmitter, chunk.receiver
+        self._impact_fingerprint += hash((tx, rx, chunk.weight))
         if self._impact_index is not None:
             self._impact_index.add(chunk)
         if chunk.eligible_time <= self._eligible_through:
@@ -131,15 +190,9 @@ class PendingChunkPool:
                 heappush(self._future_times, chunk.eligible_time)
             else:
                 bucket.append(chunk)
-        insort(self._by_edge.setdefault(chunk.edge, []), chunk, key=chunk_priority_key)
-        insort(
-            self._by_transmitter.setdefault(chunk.transmitter, []),
-            chunk,
-            key=chunk_priority_key,
-        )
-        insort(
-            self._by_receiver.setdefault(chunk.receiver, []), chunk, key=chunk_priority_key
-        )
+        _insert(self._by_edge, (tx, rx), chunk)
+        _insert(self._by_transmitter, tx, chunk)
+        _insert(self._by_receiver, rx, chunk)
 
     def add_all(self, chunks: Iterable[Chunk]) -> None:
         """Add every chunk in ``chunks`` to the pool."""
@@ -155,7 +208,8 @@ class PendingChunkPool:
         self._pending_work -= chunk.remaining_work
         if self._size == 0:
             self._pending_work = 0.0  # keep float drift from accumulating across bursts
-        self._impact_fingerprint -= hash((chunk.transmitter, chunk.receiver, chunk.weight))
+        tx, rx = chunk.transmitter, chunk.receiver
+        self._impact_fingerprint -= hash((tx, rx, chunk.weight))
         if self._impact_index is not None:
             self._impact_index.discard(chunk)
         if chunk.eligible_time <= self._eligible_through:
@@ -164,7 +218,7 @@ class PendingChunkPool:
                 _sorted_remove(self._eligible, chunk)
             if self._eligible_fifo is not None:
                 fifo = self._eligible_fifo
-                del fifo[bisect_left(fifo, chunk_fifo_key(chunk), key=chunk_fifo_key)]
+                del fifo[bisect_left(fifo, (chunk.key[1:],))]
             if self._matching_index is not None:
                 self._matching_index.discard(chunk)
         else:
@@ -174,30 +228,16 @@ class PendingChunkPool:
                 # The activation time stays in the heap; stale entries are
                 # skipped lazily when the heap front is inspected.
                 del self._future[chunk.eligible_time]
-        edge_list = self._by_edge[chunk.edge]
-        _sorted_remove(edge_list, chunk)
-        if not edge_list:
-            del self._by_edge[chunk.edge]
-        tx_list = self._by_transmitter[chunk.transmitter]
-        _sorted_remove(tx_list, chunk)
-        if not tx_list:
-            del self._by_transmitter[chunk.transmitter]
-        rx_list = self._by_receiver[chunk.receiver]
-        _sorted_remove(rx_list, chunk)
-        if not rx_list:
-            del self._by_receiver[chunk.receiver]
+        _delete(self._by_edge, (tx, rx), chunk)
+        _delete(self._by_transmitter, tx, chunk)
+        _delete(self._by_receiver, rx, chunk)
 
     def clear(self) -> None:
         """Remove every chunk from the pool."""
-        self._by_edge.clear()
-        self._by_transmitter.clear()
-        self._by_receiver.clear()
+        self._by_edge = self._by_transmitter = self._by_receiver = None
         self._all.clear()
         self._eligible_set.clear()
-        if self._eligible is not None:
-            self._eligible.clear()
-        if self._eligible_fifo is not None:
-            self._eligible_fifo.clear()
+        self._eligible = self._eligible_fifo = None
         self._future.clear()
         self._future_times.clear()
         self._eligible_through = 0
@@ -231,7 +271,7 @@ class PendingChunkPool:
         """Switch the incremental matching index on, backfilling eligible chunks."""
         if self._matching_index is None:
             index = MatchingIndex()
-            for chunk in sorted(self._eligible_set, key=chunk_priority_key):
+            for chunk in sorted(self._eligible_set, key=_KEY):
                 index.activate(chunk)
             self._matching_index = index
         return self._matching_index
@@ -243,16 +283,16 @@ class PendingChunkPool:
         """Move a chunk into the eligible partition's iteration structures."""
         self._eligible_set.add(chunk)
         if self._eligible is not None:
-            insort(self._eligible, chunk, key=chunk_priority_key)
+            insort(self._eligible, chunk, key=_KEY)
         if self._eligible_fifo is not None:
-            insort(self._eligible_fifo, chunk, key=chunk_fifo_key)
+            insort(self._eligible_fifo, _fifo_entry(chunk))
         if self._matching_index is not None:
             self._matching_index.activate(chunk)
 
     def _sorted_eligible(self) -> List[Chunk]:
         """The priority-ordered view of the eligible set, built on first use."""
         if self._eligible is None:
-            self._eligible = sorted(self._eligible_set, key=chunk_priority_key)
+            self._eligible = sorted(self._eligible_set, key=_KEY)
         return self._eligible
 
     def advance_eligibility(self, now: int) -> None:
@@ -352,17 +392,35 @@ class PendingChunkPool:
         """Whether the pool holds no pending chunks."""
         return not self._all
 
+    # ------------------------------------------------------------------ #
+    # incidence lists (lazy: built on first read, then maintained)
+    # ------------------------------------------------------------------ #
+    def _edge_lists(self) -> _Incidence:
+        if self._by_edge is None:
+            self._by_edge = _group_sorted(self._all, _EDGE)
+        return self._by_edge
+
+    def _transmitter_lists(self) -> _Incidence:
+        if self._by_transmitter is None:
+            self._by_transmitter = _group_sorted(self._all, _TRANSMITTER)
+        return self._by_transmitter
+
+    def _receiver_lists(self) -> _Incidence:
+        if self._by_receiver is None:
+            self._by_receiver = _group_sorted(self._all, _RECEIVER)
+        return self._by_receiver
+
     def chunks_on_edge(self, transmitter: str, receiver: str) -> List[Chunk]:
         """Pending chunks assigned to the given edge, in priority order."""
-        return list(self._by_edge.get((transmitter, receiver), ()))
+        return list(self._edge_lists().get((transmitter, receiver), ()))
 
     def chunks_at_transmitter(self, transmitter: str) -> List[Chunk]:
-        """Pending chunks assigned to any edge incident to ``transmitter``."""
-        return list(self._by_transmitter.get(transmitter, ()))
+        """Pending chunks assigned to any edge incident to ``transmitter``, in priority order."""
+        return list(self._transmitter_lists().get(transmitter, ()))
 
     def chunks_at_receiver(self, receiver: str) -> List[Chunk]:
-        """Pending chunks assigned to any edge incident to ``receiver``."""
-        return list(self._by_receiver.get(receiver, ()))
+        """Pending chunks assigned to any edge incident to ``receiver``, in priority order."""
+        return list(self._receiver_lists().get(receiver, ()))
 
     def adjacent_chunks(self, transmitter: str, receiver: str) -> List[Chunk]:
         """Pending chunks sharing the transmitter *or* the receiver of an edge.
@@ -375,8 +433,8 @@ class PendingChunkPool:
         # order (it ends in packet id / chunk index), so equal keys can only
         # mean the *same* chunk — one pending on edge ``(transmitter,
         # receiver)`` itself, present in both lists — and is emitted once.
-        tx = self._by_transmitter.get(transmitter, [])
-        rx = self._by_receiver.get(receiver, [])
+        tx = self._transmitter_lists().get(transmitter, [])
+        rx = self._receiver_lists().get(receiver, [])
         if not tx:
             return list(rx)
         if not rx:
@@ -384,7 +442,7 @@ class PendingChunkPool:
         merged: List[Chunk] = []
         i = j = 0
         while i < len(tx) and j < len(rx):
-            key_t, key_r = chunk_priority_key(tx[i]), chunk_priority_key(rx[j])
+            key_t, key_r = tx[i].key, rx[j].key
             if key_t < key_r:
                 merged.append(tx[i])
                 i += 1
@@ -398,6 +456,40 @@ class PendingChunkPool:
         merged.extend(tx[i:])
         merged.extend(rx[j:])
         return merged
+
+    def weight_at_transmitter(self, transmitter: str) -> float:
+        """Total pending chunk weight at ``transmitter`` (the β_{t,τ} quantity restricted to pending chunks).
+
+        Summed in priority order, so the float total is independent of
+        insertion history.
+        """
+        return sum(c.weight for c in self._transmitter_lists().get(transmitter, ()))
+
+    def weight_at_receiver(self, receiver: str) -> float:
+        """Total pending chunk weight at ``receiver``, summed in priority order."""
+        return sum(c.weight for c in self._receiver_lists().get(receiver, ()))
+
+    # ------------------------------------------------------------------ #
+    # eligible views
+    # ------------------------------------------------------------------ #
+    def eligible_on_edge(self, transmitter: str, receiver: str, now: int) -> List[Chunk]:
+        """Pending chunks on the edge that are eligible at ``now``, in priority order.
+
+        The transmit walk's per-edge snapshot.  A pool with a matching index
+        reads the edge's key-sorted entries from it once the watermark has
+        reached ``now`` (the index tracks exactly the eligible set), so the
+        walk never builds the edge incidence lists; otherwise the edge's
+        incidence list is filtered.  Both give the same chunks in the same
+        order.
+        """
+        index = self._matching_index
+        if index is None or now > self._eligible_through:
+            chunks = self.chunks_on_edge(transmitter, receiver)
+        else:
+            chunks = index.edge_chunks(transmitter, receiver)
+            if now == self._eligible_through:
+                return chunks
+        return [c for c in chunks if c.eligible_time <= now]
 
     def eligible_chunks(self, now: int) -> List[Chunk]:
         """All pending chunks whose ``eligible_time <= now``, in priority order."""
@@ -426,28 +518,8 @@ class PendingChunkPool:
         no-mutation-while-iterating rule as :meth:`iter_eligible` applies.
         """
         if self._eligible_fifo is None:
-            self._eligible_fifo = sorted(self._eligible_set, key=chunk_fifo_key)
+            self._eligible_fifo = sorted(map(_fifo_entry, self._eligible_set))
         if now >= self._eligible_through:
             self.advance_eligibility(now)
-            return iter(self._eligible_fifo)
-        return (c for c in self._eligible_fifo if c.eligible_time <= now)
-
-    def busy_transmitters(self) -> Set[str]:
-        """Transmitters with at least one pending chunk."""
-        return set(self._by_transmitter)
-
-    def busy_receivers(self) -> Set[str]:
-        """Receivers with at least one pending chunk."""
-        return set(self._by_receiver)
-
-    def total_weight(self) -> float:
-        """Sum of weights of all pending chunks."""
-        return sum(c.weight for c in self._all)
-
-    def weight_at_transmitter(self, transmitter: str) -> float:
-        """Total pending chunk weight at ``transmitter`` (the β_{t,τ} quantity restricted to pending chunks)."""
-        return sum(c.weight for c in self._by_transmitter.get(transmitter, ()))
-
-    def weight_at_receiver(self, receiver: str) -> float:
-        """Total pending chunk weight at ``receiver``."""
-        return sum(c.weight for c in self._by_receiver.get(receiver, ()))
+            return map(_CHUNK, self._eligible_fifo)
+        return (c for _, c in self._eligible_fifo if c.eligible_time <= now)

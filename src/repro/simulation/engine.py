@@ -1370,8 +1370,8 @@ class SimulationEngine:
         priority order while budget remains.  When the head alone absorbs
         the budget (always the case at speed 1 without faults, where every
         chunk holds a whole unit of work) the walk would stop after it, so
-        the per-edge snapshot is built only when the budget spills past the
-        head.
+        the per-edge snapshot (:meth:`PendingChunkPool.eligible_on_edge`) is
+        built only when the budget spills past the head.
         """
         if budget is None:
             budget = self.config.speed
@@ -1381,9 +1381,7 @@ class SimulationEngine:
             queue: Sequence[Chunk] = (head_chunk,)
         else:
             queue = [head_chunk] + [
-                c
-                for c in pool.chunks_on_edge(*edge)
-                if c is not head_chunk and c.eligible_time <= slot
+                c for c in pool.eligible_on_edge(*edge, slot) if c is not head_chunk
             ]
         for chunk in queue:
             if budget <= _WORK_EPSILON:

@@ -53,7 +53,7 @@ class TestMutation:
         pool.add_all(make_chunks(0, 1.0, delay=2))
         pool.clear()
         assert pool.is_empty()
-        assert pool.busy_transmitters() == set()
+        assert pool.chunks_at_transmitter("t1") == []
 
 
 class TestQueries:
@@ -91,16 +91,9 @@ class TestQueries:
         pool = PendingChunkPool()
         pool.add(make_chunks(0, 2.0, edge=("t1", "r1"))[0])
         pool.add(make_chunks(1, 3.0, edge=("t1", "r2"))[0])
-        assert pool.total_weight() == pytest.approx(5.0)
         assert pool.weight_at_transmitter("t1") == pytest.approx(5.0)
         assert pool.weight_at_receiver("r1") == pytest.approx(2.0)
         assert pool.weight_at_receiver("rX") == 0.0
-
-    def test_busy_sets(self):
-        pool = PendingChunkPool()
-        pool.add(make_chunks(0, 1.0, edge=("t1", "r2"))[0])
-        assert pool.busy_transmitters() == {"t1"}
-        assert pool.busy_receivers() == {"r2"}
 
     def test_chunks_at_transmitter_and_receiver(self):
         pool = PendingChunkPool()
@@ -289,7 +282,8 @@ class TestFaultEvictionCornerCases:
         pool.remove(chunk)  # eviction debits exactly the *remaining* work
         assert pool.total_pending_work() == pytest.approx(1.0)
         assert pool.chunks_on_edge("t1", "r1") == []
-        assert pool.busy_transmitters() == {"t2"}
+        assert pool.chunks_at_transmitter("t1") == []
+        assert pool.chunks_at_transmitter("t2") == [other]
 
     def test_evicted_partial_chunk_readmits_cleanly(self):
         pool = PendingChunkPool()

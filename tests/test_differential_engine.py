@@ -19,7 +19,7 @@ seeded random, networkx max-weight matching).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import pytest
 
@@ -97,15 +97,6 @@ class NaiveChunkPool:
 
     def eligible_chunks(self, now: int) -> List[Chunk]:
         return self._sorted(lambda c: c.eligible_time <= now)
-
-    def busy_transmitters(self) -> Set[str]:
-        return {c.transmitter for c in self._chunks}
-
-    def busy_receivers(self) -> Set[str]:
-        return {c.receiver for c in self._chunks}
-
-    def total_weight(self) -> float:
-        return sum(c.weight for c in self._chunks)
 
     def weight_at_transmitter(self, transmitter: str) -> float:
         return sum(c.weight for c in self._chunks if c.transmitter == transmitter)

@@ -166,13 +166,13 @@ class TestLazyTransmitWalk:
     @staticmethod
     def _count_snapshots(monkeypatch):
         calls = []
-        original = PendingChunkPool.chunks_on_edge
+        original = PendingChunkPool.eligible_on_edge
 
-        def counting(pool, transmitter, receiver):
+        def counting(pool, transmitter, receiver, now):
             calls.append((transmitter, receiver))
-            return original(pool, transmitter, receiver)
+            return original(pool, transmitter, receiver, now)
 
-        monkeypatch.setattr(PendingChunkPool, "chunks_on_edge", counting)
+        monkeypatch.setattr(PendingChunkPool, "eligible_on_edge", counting)
         return calls
 
     def test_head_absorbs_budget_at_speed_one(self, line_topology, monkeypatch):
